@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
+from . import linalg
 from .rootsys import RootSystem
 from .sphroots import (
     KIND_DOUBLE,
@@ -141,14 +142,6 @@ def tangent_space(ctx: WeightMonoidContext) -> TangentReport:
 # Subset-level machinery
 # ---------------------------------------------------------------------------
 
-AXIOM_KEYS = (
-    "lattice", "color_pair",
-    "A1", "A2", "A3", "Sigma1", "Sigma2", "S",
-    "a1", "a2", "sigma1", "sigma2", "s",
-    "rays", "dual_cone",
-)
-
-
 @dataclass(frozen=True)
 class ColorData:
     kind: str                 # "a", "2a" or "b"
@@ -165,7 +158,7 @@ class SphericalSystemCheck:
 
     @property
     def ok(self) -> bool:
-        return all(self.verdicts.get(k, True) for k in AXIOM_KEYS)
+        return all(self.verdicts.values())
 
 
 def check_system_axioms(
@@ -270,22 +263,18 @@ def _token_partitions(tokens: list, functionals: dict):
 
 def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) -> SphericalSystemCheck:
     """Decide whether the root set is realized by some spherical variety with
-    this weight monoid, by building the unique candidate system and checking
-    every axiom plus the two dual-cone conditions."""
+    this weight monoid, by building the unique candidate system, checking its
+    axioms with `check_system_axioms`, and adding the conditions that involve
+    the lattice of F and its dual cone."""
     rs = ctx.rs
     sp = ctx.sp_gamma
     sigma = tuple(sorted({r.coords: r for r in sigma}.values(), key=lambda r: r.coords))
-    check = SphericalSystemCheck(sp=sp, sigma=sigma)
-    v = check.verdicts
-    for key in AXIOM_KEYS:
-        v[key] = True
 
     coeff_map = {}
     for r in sigma:
         coeffs = ctx.in_lattice_root(r.coords)
         if coeffs is None:
-            v["lattice"] = False
-            return check
+            return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={"lattice": False})
         coeff_map[r.coords] = coeffs
 
     simple_positions = [k for k, r in enumerate(sigma) if r.kind == KIND_SIMPLE]
@@ -294,34 +283,37 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     for k in simple_positions:
         colors = ctx.color_functionals(sigma[k].simple_index)
         if len(colors) not in (1, 2):
-            v["color_pair"] = False
-            return check
+            return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={"color_pair": False})
         f_plus, f_minus = colors[0], colors[-1]
         tokens += [(k, "+"), (k, "-")]
         token_functional[(k, "+")] = f_plus
         token_functional[(k, "-")] = f_minus
 
-    # Axioms on the restriction of the pairings to the root set.
+    # Abstract color set: blocks of tokens with equal functionals such that
+    # exactly two blocks pair to 1 with each simple member of sigma.  When no
+    # partition qualifies, the singleton blocks (one of those tried) go to
+    # the axiom check, which rejects them under A2.
     values = {
         t: tuple(token_functional[t](coeff_map[r.coords]) for r in sigma)
         for t in tokens
     }
-    v["A1"] = all(
-        val <= 1 and (val != 1 or sigma[k].kind == KIND_SIMPLE)
-        for vals in values.values()
-        for k, val in enumerate(vals)
+    part = next(
+        (
+            p for p in _token_partitions(tokens, token_functional)
+            if all(sum(values[b[0]][k] == 1 for b in p) == 2 for k in simple_positions)
+        ),
+        sorted((t,) for t in tokens),
     )
-    v["Sigma1"] = _axiom_sigma1(rs, sigma)
-    v["Sigma2"] = _axiom_sigma2(rs, sigma)
-    v["S"] = all(compatible_with_sp(rs, r, sp) for r in sigma)
+    check = check_system_axioms(rs, sp, sigma, {b: values[b[0]] for b in part})
+    v = check.verdicts
 
     # Augmentation of the pairing to the full lattice generated by F.
-    v["a1"] = True
     v["a2"] = all(
         (token_functional[(k, "+")] + token_functional[(k, "-")]).values
         == ctx.coroot_functional(sigma[k].simple_index).values
         for k in simple_positions
     )
+    v["sigma1"] = v["sigma2"] = True
     for r in sigma:
         if r.kind == KIND_DOUBLE:
             i = r.simple_index
@@ -332,29 +324,6 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
             i, j = sorted(r.support)
             if any(w[i] != w[j] for w in ctx.basis):
                 v["sigma2"] = False
-    v["s"] = all(
-        all(w[i] == 0 for w in ctx.basis) for i in sp
-    )
-
-    # Abstract color set: blocks of tokens with equal functionals such that
-    # exactly two blocks pair to 1 with each simple member of sigma.
-    found_partition = None
-    for part in _token_partitions(tokens, token_functional):
-        good = True
-        for k in simple_positions:
-            hit = [b for b in part if values[b[0]][k] == 1]
-            if len(hit) != 2:
-                good = False
-                break
-        if good:
-            found_partition = part
-            break
-    if tokens and found_partition is None:
-        v["A2"] = False
-        part = sorted((t,) for t in tokens)
-    else:
-        part = found_partition if found_partition is not None else []
-    v["A3"] = True  # every block contains a token attached to some simple member
 
     # Full color set.
     colors = [ColorData("a", b, token_functional[b[0]]) for b in part]
@@ -366,20 +335,19 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
         i for i in range(ctx.n)
         if i not in sp and i not in sigma_simples and i not in half_members
     ]
-    for block in _b_color_classes(rs, sigma, b_nodes):
+    b_blocks = _b_color_classes(rs, sigma, b_nodes)
+    for block in b_blocks:
         colors.append(ColorData("b", block, ctx.coroot_functional(block[0])))
     check.colors = tuple(colors)
 
     color_functionals = [c.functional for c in colors] + [
-        ctx.coroot_functional(i) for block in _b_color_classes(rs, sigma, b_nodes)
-        for i in block[1:]
+        ctx.coroot_functional(i) for block in b_blocks for i in block[1:]
     ]
-    for k in range(ctx.r):
-        positive_somewhere = any(coeff_map[r.coords][k] > 0 for r in sigma)
-        if positive_somewhere and not any(
-            f.positive_multiple_of(ctx.dual_basis[k]) for f in color_functionals
-        ):
-            v["rays"] = False
+    v["rays"] = all(
+        any(f.positive_multiple_of(ctx.dual_basis[k]) for f in color_functionals)
+        for k in range(ctx.r)
+        if any(coeff_map[r.coords][k] > 0 for r in sigma)
+    )
     v["dual_cone"] = all(f.is_nonnegative() for f in color_functionals)
     return check
 
@@ -423,19 +391,11 @@ def is_n_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]
     sigma = tuple(sorted({r.coords: r for r in sigma}.values(), key=lambda r: r.coords))
     doubled = [r for r in sigma if r.kind == KIND_DOUBLE]
     for choice in product((False, True), repeat=len(doubled)):
-        candidate = []
-        ok = True
-        for r in sigma:
-            if r.kind == KIND_DOUBLE and choice[doubled.index(r)]:
-                half = tuple(c // 2 for c in r.coords)
-                if half not in catalog:
-                    ok = False
-                    break
-                candidate.append(catalog[half])
-            else:
-                candidate.append(r)
-        if not ok:
-            continue
+        halved = {r.coords for r, c in zip(doubled, choice) if c}
+        candidate = [
+            catalog[tuple(c // 2 for c in r.coords)] if r.coords in halved else r
+            for r in sigma
+        ]
         check = is_adapted_subset(ctx, candidate)
         if not check.ok:
             continue
@@ -467,8 +427,6 @@ def enumerate_n_adapted_subsets(
 ) -> list[SubsetRecord]:
     """All N-adapted subsets of the catalog with linearly independent
     vectors, up to `max_size`, with inclusion-maximal ones flagged."""
-    from . import linalg
-
     if max_size is None:
         max_size = ctx.r
     if not 0 <= max_size <= ctx.r:
@@ -481,7 +439,7 @@ def enumerate_n_adapted_subsets(
         if is_n_adapted_subset(ctx, subset).ok:
             accepted.append(subset)
 
-    def extend(start: int, chosen: tuple, rows: list) -> None:
+    def extend(start: int, chosen: tuple, echelon: linalg.Echelon) -> None:
         nonlocal examined
         if examined > budget:
             raise SearchBudgetExceeded(
@@ -494,12 +452,11 @@ def enumerate_n_adapted_subsets(
             return
         for idx in range(start, len(catalog)):
             root = catalog[idx]
-            new_rows = rows + [[Fraction(c) for c in root.coords]]
-            if linalg.rank(new_rows) != len(new_rows):
-                continue
-            extend(idx + 1, chosen + (root,), new_rows)
+            grown = echelon.copy()
+            if grown.add(root.coords):
+                extend(idx + 1, chosen + (root,), grown)
 
-    extend(0, (), [])
+    extend(0, (), linalg.Echelon())
     return _flag_maximal(accepted)
 
 

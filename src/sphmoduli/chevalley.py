@@ -10,6 +10,7 @@ cyclic and four-term identities among the constants.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .rootsys import RootSystem, positive_roots
 
@@ -24,6 +25,16 @@ def _add(a: tuple, b: tuple) -> tuple:
 
 def _sub(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _string_p(root_set: set, a: tuple, b: tuple) -> int:
+    """Largest k >= 0 with b - k*a in `root_set`."""
+    p = 0
+    cur = _sub(b, a)
+    while cur in root_set:
+        p += 1
+        cur = _sub(cur, a)
+    return p
 
 
 class ChevalleyAlgebra:
@@ -41,14 +52,7 @@ class ChevalleyAlgebra:
 
     def string_p(self, a: tuple, b: tuple) -> int:
         """Largest k >= 0 with b - k*a a root."""
-        p = 0
-        cur = b
-        while True:
-            cur = _sub(cur, a)
-            if self.is_root(cur):
-                p += 1
-            else:
-                return p
+        return _string_p(self.root_set, a, b)
 
     def constant(self, a: tuple, b: tuple) -> int:
         return self.constants.get((a, b), 0)
@@ -92,24 +96,12 @@ class ChevalleyAlgebra:
         return out
 
 
+@lru_cache(maxsize=None)
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     pos = list(positive_roots(rs))
     order = {r: k for k, r in enumerate(pos)}
     pos_set = set(pos)
     all_roots = pos_set | {_neg(r) for r in pos}
-
-    def is_root(v):
-        return v in all_roots
-
-    def string_p(a, b):
-        p = 0
-        cur = b
-        while True:
-            cur = _sub(cur, a)
-            if is_root(cur):
-                p += 1
-            else:
-                return p
 
     def norm2(v):
         return rs.root_norm2(v)
@@ -140,16 +132,16 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
         )
         eps, delta = specials[0]
         decomposition[gamma] = (eps, delta)
-        n0 = string_p(eps, delta) + 1
+        n0 = _string_p(all_roots, eps, delta) + 1
         constants[(eps, delta)] = n0
         constants[(delta, eps)] = -n0
         for xi, eta in specials[1:]:
             total = Fraction(0)
             d1 = _sub(eta, eps)           # equals delta - xi
-            if is_root(d1):
+            if d1 in all_roots:
                 total += n_mixed(delta, _neg(xi)) * n_mixed(eps, _neg(eta)) / norm2(d1)
             d2 = _sub(xi, eps)
-            if is_root(d2):
+            if d2 in all_roots:
                 total += (-n_mixed(eps, _neg(xi))) * n_mixed(delta, _neg(eta)) / norm2(d2)
             val = Fraction(norm2(gamma)) * total / n0
             if val.denominator != 1 or val == 0:
@@ -163,7 +155,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
         full[(_neg(a), _neg(b))] = -v
     for a in pos:
         for b in pos:
-            if a != b and is_root(_sub(a, b)):
+            if a != b and _sub(a, b) in all_roots:
                 v = n_mixed(a, _neg(b))
                 if v.denominator != 1:
                     raise RuntimeError(f"non-integer constant on ({a}, -{b})")

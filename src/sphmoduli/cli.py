@@ -18,7 +18,7 @@ from . import adapted, oracle
 from .adapted import SearchBudgetExceeded
 from .irreps import DimensionBudgetExceeded
 from .rootsys import RootSystemError, build_root_system
-from .sphroots import spherical_root_catalog
+from .sphroots import root_name, spherical_root_catalog
 from .wmonoid import DependentBasis, NonDominantWeight, build_context
 
 SCHEMA_VERSION = 1
@@ -26,16 +26,6 @@ SCHEMA_VERSION = 1
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _root_name(coords) -> str:
-    parts = []
-    for i, c in enumerate(coords):
-        if c == 1:
-            parts.append(f"a{i + 1}")
-        elif c:
-            parts.append(f"{c}*a{i + 1}")
-    return "+".join(parts) if parts else "0"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +59,7 @@ def analyze(args) -> tuple:
     except json.JSONDecodeError as e:
         return {"error": f"bad weights JSON: {e}"}, 2
     if not isinstance(weights, list) or not all(
-        isinstance(w, list) and all(isinstance(c, int) for c in w) for w in weights
+        isinstance(w, list) and all(type(c) is int for c in w) for w in weights
     ):
         return {"error": "weights must be a JSON list of integer vectors"}, 2
     try:
@@ -149,7 +139,7 @@ def analyze(args) -> tuple:
             and all(d == 1 for d in orep.weights.values())
         )
         report["oracle"] = {
-            "weights": [_root_name(g) for g in sorted(orep.weights)],
+            "weights": [root_name(g) for g in sorted(orep.weights)],
             "coords": [list(g) for g in sorted(orep.weights)],
             "multiplicities": [orep.weights[g] for g in sorted(orep.weights)],
             "agrees": agrees,

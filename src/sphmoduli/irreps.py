@@ -140,10 +140,6 @@ class IrrepModule:
         return [(x - y) * inv for x, y in zip(first, second)]
 
 
-def _combo_form(mod: IrrepModule, u: int, combo) -> Fraction:
-    return sum((c * mod.form(u, t) for t, c in combo), Fraction(0))
-
-
 def _candidate_form(mod: IrrepModule, ca, cb) -> Fraction:
     """<f_i u, f_j w> evaluated one level up via contravariance."""
     i, u = ca
@@ -157,26 +153,6 @@ def _candidate_form(mod: IrrepModule, ca, cb) -> Fraction:
     if i == j:
         val += Fraction(mod.weights[w][i]) * mod.form(u, w)
     return val
-
-
-def _greedy_rank_rows(matrix: list) -> list:
-    """Indices of a maximal set of linearly independent rows, greedily."""
-    kept: list = []
-    reduced: list = []
-    pivots: list = []
-    m = len(matrix)
-    for p in range(m):
-        row = [Fraction(x) for x in matrix[p]]
-        for rr, pc in zip(reduced, pivots):
-            if row[pc]:
-                f = row[pc] / rr[pc]
-                row = [a - f * b for a, b in zip(row, rr)]
-        pivot = next((c for c in range(m) if row[c]), None)
-        if pivot is not None:
-            kept.append(p)
-            reduced.append(row)
-            pivots.append(pivot)
-    return kept
 
 
 def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule:
@@ -206,7 +182,8 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
             m = len(cands)
             cg = [[_candidate_form(mod, cands[a], cands[b]) for b in range(m)]
                   for a in range(m)]
-            kept_pos = _greedy_rank_rows(cg)
+            echelon = linalg.Echelon()
+            kept_pos = [p for p, row in enumerate(cg) if echelon.add(row)]
             ids = []
             for pos in kept_pos:
                 i, parent = cands[pos]

@@ -2,7 +2,9 @@
 
 Matrices are lists of rows, entries are Fractions.  Everything here is
 deterministic and allocation-happy; sizes stay small (a few hundred rows
-at most), so clarity wins over cleverness.
+at most), so clarity wins over cleverness.  There are two kernels: `rref`
+for solves, kernels and intersections, and the incremental `Echelon` for
+rank and independence.
 """
 
 from __future__ import annotations
@@ -14,20 +16,43 @@ Vec = list
 Mat = list
 
 
-def fvec(entries: Sequence) -> Vec:
-    return [Fraction(e) for e in entries]
-
-
-def fmat(rows: Sequence[Sequence]) -> Mat:
-    return [fvec(r) for r in rows]
-
-
 def zeros(n: int) -> Vec:
     return [Fraction(0)] * n
 
 
-def mat_vec(m: Mat, v: Sequence) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
+class Echelon:
+    """Rows in echelon form, grown one vector at a time.  Each kept row has
+    pivot entry 1 and is zero at the pivots of the rows kept before it."""
+
+    def __init__(self, rows: Sequence[Sequence] = ()):
+        self.rows: list = []
+        self.pivots: list = []
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: Sequence) -> bool:
+        """Keep `v` when it is independent of the rows so far; report that."""
+        v = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            f = v[pc]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        inv = Fraction(1) / v[pivot]
+        self.rows.append([x * inv for x in v])
+        self.pivots.append(pivot)
+        return True
+
+    def copy(self) -> "Echelon":
+        other = Echelon()
+        other.rows = list(self.rows)
+        other.pivots = list(self.pivots)
+        return other
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -60,9 +85,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    return len(Echelon(m))
 
 
 def solve_unique(a: Mat, b: Sequence) -> Optional[Vec]:
@@ -110,15 +133,6 @@ def nullspace(a: Mat, cols: int) -> list[Vec]:
     return basis
 
 
-def in_span(basis: list[Vec], v: Sequence) -> bool:
-    if not basis:
-        return all(x == 0 for x in v)
-    stacked = [list(row) for row in basis]
-    r0 = rank(stacked)
-    stacked.append(list(v))
-    return rank(stacked) == r0
-
-
 def span_intersection(a_basis: list[Vec], b_basis: list[Vec]) -> list[Vec]:
     """Basis of span(a) n span(b); all vectors of equal length."""
     if not a_basis or not b_basis:
@@ -143,29 +157,10 @@ def span_intersection(a_basis: list[Vec], b_basis: list[Vec]) -> list[Vec]:
 
 def independent_subset(vectors: list[Vec]) -> list[Vec]:
     """Greedy maximal independent sublist, preserving order."""
-    kept: list[Vec] = []
-    kept_rows: list[Vec] = []
-    for v in vectors:
-        if not kept_rows:
-            if any(x != 0 for x in v):
-                kept.append(v)
-                kept_rows = [list(v)]
-            continue
-        trial = kept_rows + [list(v)]
-        if rank(trial) > len(kept):
-            kept.append(v)
-            kept_rows = trial
-    return kept
+    return reduce_mod([], vectors)
 
 
 def reduce_mod(basis: list[Vec], vectors: list[Vec]) -> list[Vec]:
     """Sublist of `vectors` independent modulo span(basis)."""
-    kept: list[Vec] = []
-    current = [list(b) for b in basis]
-    base_rank = rank(current) if current else 0
-    for v in vectors:
-        trial = current + [list(v)]
-        if rank(trial) > base_rank + len(kept):
-            kept.append(v)
-            current = trial
-    return kept
+    ech = Echelon(basis)
+    return [v for v in vectors if ech.add(v)]

@@ -73,10 +73,8 @@ class AmbientModel:
         return ids
 
 
-def build_model(ctx: WeightMonoidContext, alg: Optional[ChevalleyAlgebra] = None,
-                dim_cap: int = 5000) -> AmbientModel:
-    if alg is None:
-        alg = build_chevalley(ctx.rs)
+def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
+    alg = build_chevalley(ctx.rs)
     modules = [build_irrep(ctx.rs, lam, dim_cap=dim_cap) for lam in ctx.basis]
     offsets = []
     total = 0

@@ -122,9 +122,6 @@ class RootSystem:
              for i in range(self.rank)]
         return tuple(linalg.solve_unique(a, list(w)))
 
-    def simple_roots_orthogonal(self, i: int, j: int) -> bool:
-        return self.cartan[i][j] == 0
-
     def root_norm2(self, v: RootVector) -> Fraction:
         """(v, v) with the normalization (a_i, a_j) = d_i * <a_i^v, a_j>."""
         d = self.symmetrizer

@@ -34,6 +34,13 @@ KIND_G2_DOUBLE = "G2-double"
 KIND_G2_SUM = "G2-sum"
 
 
+def root_name(coords) -> str:
+    """Name of a nonzero root-lattice vector, such as "a1+2*a3"."""
+    return "+".join(
+        f"a{i + 1}" if c == 1 else f"{c}*a{i + 1}" for i, c in enumerate(coords) if c
+    )
+
+
 @dataclass(frozen=True)
 class SphericalRoot:
     coords: tuple            # simple-root coefficients, length = rank
@@ -42,23 +49,13 @@ class SphericalRoot:
     labeling: tuple          # Bourbaki position -> global simple-root index
 
     @property
-    def is_simple(self) -> bool:
-        return self.kind == KIND_SIMPLE
-
-    @property
     def simple_index(self) -> int:
         """For kinds A1 and 2A1, the index of the underlying simple root."""
         (i,) = self.support
         return i
 
     def name(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c == 1:
-                parts.append(f"a{i + 1}")
-            elif c:
-                parts.append(f"{c}*a{i + 1}")
-        return "+".join(parts)
+        return root_name(self.coords)
 
     def __repr__(self):
         return f"SphericalRoot({self.name()!r}, {self.kind})"

@@ -44,9 +44,6 @@ class Functional:
     def __call__(self, coefficients: Sequence) -> Fraction:
         return sum((v * c for v, c in zip(self.values, coefficients)), Fraction(0))
 
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values)
-
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.values)
 

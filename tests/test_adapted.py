@@ -126,6 +126,18 @@ def test_crossed_lines_subsets(crossed_lines):
     assert not is_n_adapted_subset(crossed_lines, [cat["a2"]]).ok
 
 
+def test_subset_without_color_partition_fails_only_a2():
+    # each simple root is an adapted singleton, but no identification of
+    # their color tokens gives each exactly two colors pairing to 1
+    ctx = build_context(build_root_system("A1xA1"), [(0, 2), (2, 2)])
+    cat = catalog_by_name(ctx.rs)
+    assert is_adapted_subset(ctx, [cat["a1"]]).ok
+    assert is_adapted_subset(ctx, [cat["a2"]]).ok
+    check = is_adapted_subset(ctx, [cat["a1"], cat["a2"]])
+    assert not check.ok
+    assert [k for k, ok in check.verdicts.items() if not ok] == ["A2"]
+
+
 def test_crossed_lines_component_candidates(crossed_lines):
     records = enumerate_n_adapted_subsets(crossed_lines)
     maximal = [rec for rec in records if rec.maximal]

@@ -84,6 +84,7 @@ def test_text_and_json_verdicts_agree(capsys):
     ("A2", "[[1,0],[0,-1]]", "not dominant"),
     ("A2", "[[1,0],[2,0]]", "dependent"),
     ("A2", "[[1,0,0]]", "length"),
+    ("A1xA1", "[[true,false],[false,true]]", "weights must be a JSON list of integer vectors"),
 ])
 def test_validation_errors(capsys, group, weights, fragment):
     status = cli.main(["analyze", "--group", group, "--weights", weights])
