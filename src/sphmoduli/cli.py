@@ -112,12 +112,17 @@ def analyze(args) -> tuple:
 
     status = 0
     if args.enumerate_subsets:
+        records = None
         try:
             records = adapted.enumerate_n_adapted_subsets(ctx, max_size=args.max_subset_size)
-        except (SearchBudgetExceeded, ValueError) as e:
+        except SearchBudgetExceeded as e:
+            records = e.partial
             report["subsets_error"] = str(e)
             status = 2
-        else:
+        except ValueError as e:
+            report["subsets_error"] = str(e)
+            status = 2
+        if records is not None:
             report["subsets"] = [
                 {
                     "roots": [r.name() for r in rec.roots],

@@ -101,6 +101,12 @@ class IrrepModule:
         self.lower = [dict() for _ in range(rs.rank)]   # f_i combos, id -> [(id, coeff)]
         self.raise_ = [dict() for _ in range(rs.rank)]  # e_i combos
         self.gram = {highest: ([0], [[Fraction(1)]])}   # weight -> (ids, matrix)
+        # root -> operator table, seeded with the simple tables filled in by build_irrep
+        self._operators = {}
+        for i in range(rs.rank):
+            unit = tuple(1 if j == i else 0 for j in range(rs.rank))
+            self._operators[unit] = self.raise_[i]
+            self._operators[_neg(unit)] = self.lower[i]
 
     def ids_of_weight(self, w) -> list:
         entry = self.gram.get(tuple(w))
@@ -113,31 +119,36 @@ class IrrepModule:
         ids, mat = self.gram[wa]
         return mat[ids.index(a)][ids.index(b)]
 
-    def apply_simple(self, i: int, sign: int, vec: list) -> list:
-        table = self.lower[i] if sign < 0 else self.raise_[i]
-        out = [Fraction(0)] * self.dim
-        for idx, c in enumerate(vec):
-            if c:
-                for jdx, coeff in table.get(idx, ()):
-                    out[jdx] += c * coeff
-        return out
+    def root_operator(self, alg: ChevalleyAlgebra, root: tuple) -> dict:
+        """Table {id: [(id, coeff)]} of the operator of a root.  A non-simple
+        root's table is built once, from the fixed bracket decomposition
+        gamma = eps + delta, as X_gamma = (X_eps X_delta - X_delta X_eps) / N."""
+        if root not in self._operators:
+            positive = sum(root) > 0
+            eps, delta = alg.decomposition[root if positive else _neg(root)]
+            if not positive:
+                eps, delta = _neg(eps), _neg(delta)
+            x_eps = self.root_operator(alg, eps)
+            x_delta = self.root_operator(alg, delta)
+            inv = Fraction(1, alg.constant(eps, delta))
+            table = {}
+            for idx in range(self.dim):
+                image = apply(x_eps, dict(x_delta.get(idx, ())))
+                for jdx, c in apply(x_delta, dict(x_eps.get(idx, ()))).items():
+                    image[jdx] = image.get(jdx, Fraction(0)) - c
+                table[idx] = [(jdx, c * inv) for jdx, c in sorted(image.items()) if c]
+            self._operators[root] = table
+        return self._operators[root]
 
-    def apply_root(self, alg: ChevalleyAlgebra, root: tuple, vec: list) -> list:
-        """Operator of an arbitrary root, recursively via the fixed bracket
-        decomposition of each non-simple positive root."""
-        if sum(abs(c) for c in root) == 1:
-            i = next(j for j, c in enumerate(root) if c)
-            return self.apply_simple(i, 1 if root[i] > 0 else -1, vec)
-        positive = sum(root) > 0
-        gamma = root if positive else _neg(root)
-        eps, delta = alg.decomposition[gamma]
-        if not positive:
-            eps, delta = _neg(eps), _neg(delta)
-        n = alg.constant(eps, delta)
-        first = self.apply_root(alg, eps, self.apply_root(alg, delta, vec))
-        second = self.apply_root(alg, delta, self.apply_root(alg, eps, vec))
-        inv = Fraction(1, n)
-        return [(x - y) * inv for x, y in zip(first, second)]
+
+def apply(table: dict, vec: dict) -> dict:
+    """Image of the sparse vector {id: coeff} under an operator table;
+    entries that cancel are dropped."""
+    out: dict = {}
+    for idx, c in vec.items():
+        for jdx, coeff in table.get(idx, ()):
+            out[jdx] = out.get(jdx, Fraction(0)) + c * coeff
+    return {jdx: c for jdx, c in out.items() if c}
 
 
 def _candidate_form(mod: IrrepModule, ca, cb) -> Fraction:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra, _neg, build_chevalley
-from .irreps import build_irrep
+from .chevalley import ChevalleyAlgebra, _neg, _sub, build_chevalley
+from .irreps import apply, build_irrep
 from .rootsys import positive_roots
 from .wmonoid import WeightMonoidContext
 
@@ -29,48 +29,20 @@ class AmbientModel:
     modules: list
     offsets: list
     dim: int
-    x0: list
+    x0: dict               # sparse vectors of V: {global id: coeff}
     gx0_vectors: dict      # tag -> vector; tags ('hw', k) and ('low', beta)
+    ids_at: dict           # twisted weight (simple-root coords) -> global ids
 
-    def block(self, k: int, vec: list) -> list:
-        out = [Fraction(0)] * self.dim
-        off = self.offsets[k]
-        for i, c in enumerate(vec):
-            out[off + i] = c
-        return out
-
-    def apply_simple(self, i: int, sign: int, vec: list) -> list:
-        out = [Fraction(0)] * self.dim
+    def apply_root(self, root: tuple, vec: dict) -> dict:
+        """The operator of a root on a sparse vector of V, module by module."""
+        out = {}
         for k, mod in enumerate(self.modules):
             off = self.offsets[k]
-            part = vec[off:off + mod.dim]
-            if any(part):
-                res = mod.apply_simple(i, sign, part)
-                for t, c in enumerate(res):
-                    out[off + t] = c
+            part = {g - off: c for g, c in vec.items() if off <= g < off + mod.dim}
+            if part:
+                image = apply(mod.root_operator(self.alg, root), part)
+                out.update((off + t, c) for t, c in image.items())
         return out
-
-    def apply_root(self, root: tuple, vec: list) -> list:
-        out = [Fraction(0)] * self.dim
-        for k, mod in enumerate(self.modules):
-            off = self.offsets[k]
-            part = vec[off:off + mod.dim]
-            if any(part):
-                res = mod.apply_root(self.alg, root, part)
-                for t, c in enumerate(res):
-                    out[off + t] = c
-        return out
-
-    def twisted_weight_ids(self, gamma_root: tuple) -> list:
-        """Global basis indices of twisted-torus weight gamma (a root-lattice
-        vector in simple-root coordinates)."""
-        ids = []
-        for k, mod in enumerate(self.modules):
-            off = self.offsets[k]
-            for idx in range(mod.dim):
-                if mod.depths[idx] == gamma_root:
-                    ids.append(off + idx)
-        return ids
 
 
 def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
@@ -78,38 +50,35 @@ def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
     modules = [build_irrep(ctx.rs, lam, dim_cap=dim_cap) for lam in ctx.basis]
     offsets = []
     total = 0
+    ids_at: dict = {}
     for mod in modules:
         offsets.append(total)
+        for idx, depth in enumerate(mod.depths):
+            ids_at.setdefault(depth, []).append(total + idx)
         total += mod.dim
-    x0 = [Fraction(0)] * total
-    for off in offsets:
-        x0[off] = Fraction(1)   # basis index 0 of each module is its highest vector
-    model = AmbientModel(ctx, alg, modules, offsets, total, x0, {})
+    # basis index 0 of each module is its highest vector
+    x0 = {off: Fraction(1) for off in offsets}
+    model = AmbientModel(ctx, alg, modules, offsets, total, x0, {}, ids_at)
     f_perp = set(ctx.f_perp)
-    for k in range(len(modules)):
-        hv = [Fraction(0)] * total
-        hv[offsets[k]] = Fraction(1)
-        model.gx0_vectors[("hw", k)] = hv
+    for k, off in enumerate(offsets):
+        model.gx0_vectors[("hw", k)] = {off: Fraction(1)}
     for beta in positive_roots(ctx.rs):
         if beta in f_perp:
             continue
-        vec = model.apply_root(_neg(beta), x0)
-        model.gx0_vectors[("low", beta)] = vec
+        model.gx0_vectors[("low", beta)] = model.apply_root(_neg(beta), x0)
     return model
 
 
 @dataclass
 class InvariantSpace:
     gamma: tuple               # simple-root coordinates
-    solution_basis: list       # vectors spanning the invariant preimage in V
-    boundary: list             # the part already inside g.x0 (0 or 1 vector)
+    ids: list                  # global ids of twisted weight gamma: the local coordinates
+    solution_basis: list       # local vectors spanning the invariant preimage in V
+    boundary: list             # local part already inside g.x0 (0 or 1 vector)
 
     @property
     def dimension(self) -> int:
-        return len(self.representatives())
-
-    def representatives(self) -> list:
-        return linalg.reduce_mod(self.boundary, self.solution_basis)
+        return len(linalg.reduce_mod(self.boundary, self.solution_basis))
 
 
 def invariant_quotient_weights(model: AmbientModel) -> dict:
@@ -117,17 +86,12 @@ def invariant_quotient_weights(model: AmbientModel) -> dict:
     by g.x0 fixed by the isotropy algebra of x0, keyed by the weight's
     simple-root coordinates.  Only nonzero spaces are returned."""
     ctx = model.ctx
-    candidates = set()
-    for mod in model.modules:
-        for depth in mod.depths:
-            if any(depth):
-                candidates.add(depth)
     out = {}
-    for gamma in sorted(candidates):
-        if ctx.in_lattice_root(gamma) is None:
+    for gamma in sorted(model.ids_at):
+        if not any(gamma) or ctx.in_lattice_root(gamma) is None:
             continue
         space = _invariant_space(model, gamma)
-        if space is not None and space.dimension > 0:
+        if space.dimension > 0:
             out[gamma] = space
     return out
 
@@ -140,72 +104,47 @@ def _gx0_piece(model: AmbientModel, gamma_root: tuple) -> list:
     return [vec] if vec is not None else []
 
 
-def _invariant_space(model: AmbientModel, gamma: tuple) -> Optional[InvariantSpace]:
+def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
+    """Vectors of twisted weight gamma, in the local coordinates of
+    `model.ids_at[gamma]`, that every required operator sends into g.x0."""
     ctx = model.ctx
     rs = ctx.rs
-    ids = model.twisted_weight_ids(gamma)
-    if not ids:
-        return None
+    ids = model.ids_at[gamma]
     m = len(ids)
-    basis_vectors = []
-    for gid in ids:
-        v = [Fraction(0)] * model.dim
-        v[gid] = Fraction(1)
-        basis_vectors.append(v)
 
     # Required operators: all simple raisings, and the lowerings of simple
     # roots orthogonal to every basis weight.
-    ops = [(i, +1) for i in range(rs.rank)]
-    ops += [(i, -1) for i in sorted(ctx.sp_gamma)]
+    simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
+    ops = simple + [_neg(simple[i]) for i in sorted(ctx.sp_gamma)]
 
-    images = {}
-    targets = {}
-    aux_count = 0
-    aux_offsets = {}
-    for op in ops:
-        i, sign = op
-        images[op] = [model.apply_simple(i, sign, v) for v in basis_vectors]
-        shifted = list(gamma)
-        shifted[i] -= sign
-        shifted = tuple(shifted)
+    # Unknowns: the m coordinates, then one coefficient per allowed g.x0
+    # vector of each operator.  One equation per (operator, touched coordinate).
+    equations = []
+    cols = m
+    for root in ops:
+        shifted = _sub(gamma, root)
         allowed = _gx0_piece(model, shifted) if (
             all(c == 0 for c in shifted) or shifted in model.alg.root_set
         ) else []
-        targets[op] = allowed
-        aux_offsets[op] = aux_count
-        aux_count += len(allowed)
-
-    cols = m + aux_count
+        touched: dict = {}
+        for c, gid in enumerate(ids):
+            for coord, val in model.apply_root(root, {gid: Fraction(1)}).items():
+                touched.setdefault(coord, {})[c] = val
+        for a, av in enumerate(allowed):
+            for coord, val in av.items():
+                touched.setdefault(coord, {})[cols + a] = -val
+        cols += len(allowed)
+        equations += touched.values()
     rows = []
-    for op in ops:
-        allowed = targets[op]
-        for coord in range(model.dim):
-            row = [Fraction(0)] * cols
-            nonzero = False
-            for c in range(m):
-                val = images[op][c][coord]
-                if val:
-                    row[c] = val
-                    nonzero = True
-            for a, av in enumerate(allowed):
-                if av[coord]:
-                    row[m + aux_offsets[op] + a] = -av[coord]
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
+    for eq in equations:
+        row = [Fraction(0)] * cols
+        for c, val in eq.items():
+            row[c] = val
+        rows.append(row)
     kernel = linalg.nullspace(rows, cols)
-    solution = []
-    for kv in kernel:
-        v = [Fraction(0)] * model.dim
-        for c in range(m):
-            if kv[c]:
-                for coord in range(model.dim):
-                    v[coord] += kv[c] * basis_vectors[c][coord]
-        if any(v):
-            solution.append(v)
-    solution = linalg.independent_subset(solution)
-    boundary = _gx0_piece(model, gamma)
-    return InvariantSpace(gamma=gamma, solution_basis=solution, boundary=boundary)
+    solution = linalg.independent_subset([kv[:m] for kv in kernel if any(kv[:m])])
+    boundary = [[vec.get(gid, Fraction(0)) for gid in ids] for vec in _gx0_piece(model, gamma)]
+    return InvariantSpace(gamma=gamma, ids=ids, solution_basis=solution, boundary=boundary)
 
 
 def codim1_orbit_weights(ctx: WeightMonoidContext) -> frozenset:
@@ -255,14 +194,11 @@ def oracle_tangent_weights(model: AmbientModel,
             if a > 1:
                 surviving = []
             elif a == 1:
-                off = model.offsets[k]
-                mod = model.modules[k]
-                allowed = []
-                for idx in range(mod.dim):
-                    if mod.depths[idx] == gamma:
-                        v = [Fraction(0)] * model.dim
-                        v[off + idx] = Fraction(1)
-                        allowed.append(v)
+                # unit vectors of the degenerating summand, in local coordinates
+                lo, hi = model.offsets[k], model.offsets[k] + model.modules[k].dim
+                m = len(space.ids)
+                allowed = [[Fraction(int(p == q)) for q in range(m)]
+                           for p, gid in enumerate(space.ids) if lo <= gid < hi]
                 allowed += space.boundary
                 surviving = linalg.span_intersection(surviving, allowed)
             if not surviving:

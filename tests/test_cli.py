@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sphmoduli import cli
+from sphmoduli import adapted, cli
 
 
 def run_cli(capsys, *argv):
@@ -111,3 +111,21 @@ def test_oracle_disagreement_exits_nonzero(capsys, monkeypatch):
     # both weight sets are in the report for comparison
     assert report["tangent"]["weights"] == ["2*a1"]
     assert report["oracle"]["weights"] == []
+
+
+def test_budget_exhaustion_keeps_partial_subsets(capsys, monkeypatch):
+    original = adapted.enumerate_n_adapted_subsets
+
+    def small_budget(ctx, max_size=None):
+        return original(ctx, max_size=max_size, budget=3)
+
+    monkeypatch.setattr(adapted, "enumerate_n_adapted_subsets", small_budget)
+    status, out = run_cli(
+        capsys, "analyze", "--group", "A1xA1xA1",
+        "--weights", "[[2,0,0],[0,2,0],[0,0,2]]", "--json", "--enumerate-subsets",
+    )
+    assert status == 2
+    report = json.loads(out)
+    assert "more than 3" in report["subsets_error"]
+    assert report["subsets"]
+    assert all(set(s) == {"roots", "coords", "size", "maximal"} for s in report["subsets"])

@@ -11,6 +11,7 @@ from sphmoduli import (
     freudenthal_multiplicities,
     weyl_dimension,
 )
+from sphmoduli.irreps import apply
 
 
 def test_a1_sym_square():
@@ -87,21 +88,42 @@ def test_highest_vector_killed_by_raising():
         assert mod.raise_[i].get(0, []) == []
 
 
-def test_root_operator_commutator_is_coroot_action():
-    # [X_b, X_-b] acts on a weight vector by the coroot pairing
-    rs = build_root_system("G2")
+def _commutator(x, y, vec):
+    out = apply(x, apply(y, vec))
+    for t, c in apply(y, apply(x, vec)).items():
+        out[t] = out.get(t, Fraction(0)) - c
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("G2", (0, 1)),
+    ("B3", (0, 0, 1)),
+    ("C3", (0, 1, 0)),
+    ("A1xA1", (2, 3)),
+])
+def test_root_operator_commutator_is_coroot_action(name, lam):
+    # the operator tables satisfy the brackets of the Chevalley table:
+    # [X_a, X_b] = N_ab X_(a+b) for a root a+b, [X_a, X_-a] is the coroot
+    # action, and [X_a, X_b] = 0 otherwise
+    rs = build_root_system(name)
     alg = build_chevalley(rs)
-    mod = build_irrep(rs, (0, 1))
-    beta = (3, 2)  # a long positive root
-    neg = (-3, -2)
-    for idx in range(mod.dim):
-        v = [Fraction(0)] * mod.dim
-        v[idx] = Fraction(1)
-        up = mod.apply_root(alg, beta, mod.apply_root(alg, neg, v))
-        down = mod.apply_root(alg, neg, mod.apply_root(alg, beta, v))
-        commutator = [a - b for a, b in zip(up, down)]
-        scale = rs.coroot_weight_pairing(beta, mod.weights[idx])
-        assert commutator == [scale * x for x in v]
+    mod = build_irrep(rs, lam)
+    roots = sorted(alg.root_set)
+    for a in roots:
+        for b in roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            for idx in range(mod.dim):
+                v = {idx: Fraction(1)}
+                got = _commutator(mod.root_operator(alg, a), mod.root_operator(alg, b), v)
+                if not any(s):
+                    scale = rs.coroot_weight_pairing(a, mod.weights[idx])
+                    expected = {idx: scale} if scale else {}
+                elif alg.is_root(s):
+                    n = alg.constant(a, b)
+                    expected = {t: n * c for t, c in apply(mod.root_operator(alg, s), v).items()}
+                else:
+                    expected = {}
+                assert got == expected, (a, b, idx)
 
 
 def test_nondominant_rejected():

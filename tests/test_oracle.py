@@ -68,8 +68,12 @@ def test_base_point_orbit_basis(crossed_lines, crossed_lines_model):
     # the listed spanning vectors are independent and the image of every
     # algebra basis element applied to the base point stays in their span
     model = crossed_lines_model
+
+    def dense(vec):
+        return [vec.get(t, Fraction(0)) for t in range(model.dim)]
+
     basis = list(model.gx0_vectors.values())
-    rows = [list(v) for v in basis]
+    rows = [dense(v) for v in basis]
     assert linalg.rank(rows) == len(basis)
     expected = crossed_lines.r + len(
         [b for b in positive_roots(crossed_lines.rs) if b not in set(crossed_lines.f_perp)]
@@ -78,12 +82,11 @@ def test_base_point_orbit_basis(crossed_lines, crossed_lines_model):
     for beta in positive_roots(crossed_lines.rs):
         for signed in (beta, _neg(beta)):
             img = model.apply_root(signed, model.x0)
-            assert not linalg.Echelon(rows).add(img)
+            assert not linalg.Echelon(rows).add(dense(img))
     for i in range(crossed_lines.rs.rank):
         h_img = [Fraction(0)] * model.dim
         for k, lam in enumerate(crossed_lines.basis):
-            vec = model.gx0_vectors[("hw", k)]
-            for t, c in enumerate(vec):
+            for t, c in model.gx0_vectors[("hw", k)].items():
                 h_img[t] += lam[i] * c
         assert not linalg.Echelon(rows).add(h_img)
 
@@ -182,6 +185,27 @@ def test_shared_color_context_agreement():
 ])
 def test_oracle_agreement_spot_checks(group, basis):
     ctx = build_context(build_root_system(group), basis)
+    rep = oracle_tangent_weights(build_model(ctx))
+    assert rep.weight_coords() == tangent_space(ctx).weight_coords()
+    assert all(d == 1 for d in rep.weights.values())
+
+
+def _fundamentals(rank, nodes):
+    return [tuple(1 if j == i - 1 else 0 for j in range(rank)) for i in nodes]
+
+
+@pytest.mark.parametrize("group,nodes", [
+    ("A4", (1, 2, 3, 4)),
+    ("B4", (1, 2, 3, 4)),
+    ("C4", (1, 2, 3, 4)),
+    ("D4", (1, 2, 3, 4)),
+    ("F4", (1, 4)),
+    ("E6", (1, 6, 2)),
+    ("E6", (1, 6)),
+])
+def test_oracle_agreement_beyond_rank_three(group, nodes):
+    rs = build_root_system(group)
+    ctx = build_context(rs, _fundamentals(rs.rank, nodes))
     rep = oracle_tangent_weights(build_model(ctx))
     assert rep.weight_coords() == tangent_space(ctx).weight_coords()
     assert all(d == 1 for d in rep.weights.values())
