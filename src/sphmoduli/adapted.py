@@ -384,13 +384,12 @@ class NAdaptedVerdict:
 def is_n_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) -> NAdaptedVerdict:
     """A set is N-adapted when some adapted set maps onto it by doubling
     exactly its simple members with a single color functional."""
-    catalog = {r.coords: r for r in spherical_root_catalog(ctx.rs)}
     sigma = tuple(sorted({r.coords: r for r in sigma}.values(), key=lambda r: r.coords))
     doubled = [r for r in sigma if r.kind == KIND_DOUBLE]
     for choice in product((False, True), repeat=len(doubled)):
         halved = {r.coords for r, c in zip(doubled, choice) if c}
         candidate = [
-            catalog[tuple(c // 2 for c in r.coords)] if r.coords in halved else r
+            _half(r) if r.coords in halved else r
             for r in sigma
         ]
         check = is_adapted_subset(ctx, candidate)
@@ -405,6 +404,12 @@ def is_n_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]
         if image == {r.coords for r in sigma}:
             return NAdaptedVerdict(True, tuple(candidate), check)
     return NAdaptedVerdict(False)
+
+
+def _half(doubled: SphericalRoot) -> SphericalRoot:
+    """The simple root a_i of the doubled root 2a_i, equal to its catalog entry."""
+    i = doubled.simple_index
+    return SphericalRoot(tuple(c // 2 for c in doubled.coords), KIND_SIMPLE, frozenset({i}), (i,))
 
 
 @dataclass(frozen=True)

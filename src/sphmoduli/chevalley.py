@@ -101,10 +101,12 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     pos = list(positive_roots(rs))
     order = {r: k for k, r in enumerate(pos)}
     pos_set = set(pos)
-    all_roots = pos_set | {_neg(r) for r in pos}
+    neg = {r: _neg(r) for r in pos}     # one tuple per negative root, shared by the tables
+    all_roots = pos_set | set(neg.values())
 
-    def norm2(v):
-        return rs.root_norm2(v)
+    norms: dict = {}   # root -> (root, root); -v has the norm of v
+    for r in pos:
+        norms[r] = norms[neg[r]] = rs.root_norm2(r)
 
     constants: dict = {}
     decomposition: dict = {}
@@ -115,9 +117,9 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
         b = _neg(bneg)
         c = _sub(a, b)
         if c in pos_set:
-            return -Fraction(norm2(c), norm2(a)) * constants[(b, c)]
+            return -Fraction(norms[c], norms[a]) * constants[(b, c)]
         cbar = _neg(c)
-        return Fraction(norm2(c), norm2(b)) * constants[(cbar, a)]
+        return Fraction(norms[c], norms[b]) * constants[(cbar, a)]
 
     for gamma in pos:
         if sum(gamma) < 2:
@@ -139,11 +141,11 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
             total = Fraction(0)
             d1 = _sub(eta, eps)           # equals delta - xi
             if d1 in all_roots:
-                total += n_mixed(delta, _neg(xi)) * n_mixed(eps, _neg(eta)) / norm2(d1)
+                total += n_mixed(delta, _neg(xi)) * n_mixed(eps, _neg(eta)) / norms[d1]
             d2 = _sub(xi, eps)
             if d2 in all_roots:
-                total += (-n_mixed(eps, _neg(xi))) * n_mixed(delta, _neg(eta)) / norm2(d2)
-            val = Fraction(norm2(gamma)) * total / n0
+                total += (-n_mixed(eps, _neg(xi))) * n_mixed(delta, _neg(eta)) / norms[d2]
+            val = Fraction(norms[gamma]) * total / n0
             if val.denominator != 1 or val == 0:
                 raise RuntimeError(f"inconsistent constant for pair {xi}+{eta}")
             constants[(xi, eta)] = int(val)
@@ -152,15 +154,15 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     full: dict = {}
     for (a, b), v in constants.items():
         full[(a, b)] = v
-        full[(_neg(a), _neg(b))] = -v
+        full[(neg[a], neg[b])] = -v
     for a in pos:
         for b in pos:
             if a != b and _sub(a, b) in all_roots:
-                v = n_mixed(a, _neg(b))
+                v = n_mixed(a, neg[b])
                 if v.denominator != 1:
                     raise RuntimeError(f"non-integer constant on ({a}, -{b})")
-                full[(a, _neg(b))] = int(v)
-                full[(_neg(b), a)] = -int(v)
+                full[(a, neg[b])] = int(v)
+                full[(neg[b], a)] = -int(v)
     return ChevalleyAlgebra(
         rs=rs,
         pos_roots=tuple(pos),

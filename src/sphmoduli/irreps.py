@@ -89,8 +89,9 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict:
 
 
 class IrrepModule:
-    """Weight-graded basis with sparse simple raising/lowering actions and
-    the symmetric contravariant form stored per weight space."""
+    """Weight-graded basis with sparse simple raising/lowering actions, the
+    symmetric contravariant form stored per weight space, and the columns
+    of non-simple root operators built as they are asked for."""
 
     def __init__(self, rs: RootSystem, highest: tuple):
         self.rs = rs
@@ -101,12 +102,13 @@ class IrrepModule:
         self.lower = [dict() for _ in range(rs.rank)]   # f_i combos, id -> [(id, coeff)]
         self.raise_ = [dict() for _ in range(rs.rank)]  # e_i combos
         self.gram = {highest: ([0], [[Fraction(1)]])}   # weight -> (ids, matrix)
-        # root -> operator table, seeded with the simple tables filled in by build_irrep
-        self._operators = {}
+        # root -> {id: image column}, seeded with the simple tables filled in
+        # by build_irrep; non-simple columns are added as they are asked for
+        self._columns = {}
         for i in range(rs.rank):
             unit = tuple(1 if j == i else 0 for j in range(rs.rank))
-            self._operators[unit] = self.raise_[i]
-            self._operators[_neg(unit)] = self.lower[i]
+            self._columns[unit] = self.raise_[i]
+            self._columns[_neg(unit)] = self.lower[i]
 
     def ids_of_weight(self, w) -> list:
         entry = self.gram.get(tuple(w))
@@ -119,48 +121,48 @@ class IrrepModule:
         ids, mat = self.gram[wa]
         return mat[ids.index(a)][ids.index(b)]
 
-    def root_operator(self, alg: ChevalleyAlgebra, root: tuple) -> dict:
-        """Table {id: [(id, coeff)]} of the operator of a root.  A non-simple
-        root's table is built once, from the fixed bracket decomposition
-        gamma = eps + delta, as X_gamma = (X_eps X_delta - X_delta X_eps) / N."""
-        if root not in self._operators:
-            positive = sum(root) > 0
-            eps, delta = alg.decomposition[root if positive else _neg(root)]
-            if not positive:
+    def column(self, alg: ChevalleyAlgebra, root: tuple, idx: int):
+        """Image [(id, coeff)] of basis vector `idx` under the operator of a
+        root.  A non-simple root's column is built on first request, from
+        the fixed bracket decomposition gamma = eps + delta, as
+        X_gamma = (X_eps X_delta - X_delta X_eps) / N, and kept."""
+        cols = self._columns.setdefault(root, {})
+        col = cols.get(idx)
+        if col is None:
+            height = sum(root)
+            if abs(height) == 1:
+                return ()   # a simple table lists all its nonzero columns
+            eps, delta = alg.decomposition[root if height > 0 else _neg(root)]
+            if height < 0:
                 eps, delta = _neg(eps), _neg(delta)
-            x_eps = self.root_operator(alg, eps)
-            x_delta = self.root_operator(alg, delta)
             inv = Fraction(1, alg.constant(eps, delta))
-            table = {}
-            for idx in range(self.dim):
-                image = apply(x_eps, dict(x_delta.get(idx, ())))
-                for jdx, c in apply(x_delta, dict(x_eps.get(idx, ()))).items():
-                    image[jdx] = image.get(jdx, Fraction(0)) - c
-                table[idx] = [(jdx, c * inv) for jdx, c in sorted(image.items()) if c]
-            self._operators[root] = table
-        return self._operators[root]
+            image = self.apply_root(alg, eps, dict(self.column(alg, delta, idx)))
+            for jdx, c in self.apply_root(alg, delta, dict(self.column(alg, eps, idx))).items():
+                image[jdx] = image.get(jdx, Fraction(0)) - c
+            col = cols[idx] = [(jdx, c * inv) for jdx, c in sorted(image.items()) if c]
+        return col
 
-
-def apply(table: dict, vec: dict) -> dict:
-    """Image of the sparse vector {id: coeff} under an operator table;
-    entries that cancel are dropped."""
-    out: dict = {}
-    for idx, c in vec.items():
-        for jdx, coeff in table.get(idx, ()):
-            out[jdx] = out.get(jdx, Fraction(0)) + c * coeff
-    return {jdx: c for jdx, c in out.items() if c}
+    def apply_root(self, alg: ChevalleyAlgebra, root: tuple, vec: dict) -> dict:
+        """Image of the sparse vector {id: coeff} under the operator of a
+        root, built from the columns of its ids only; entries that cancel
+        are dropped."""
+        out: dict = {}
+        for idx, c in vec.items():
+            for jdx, coeff in self.column(alg, root, idx):
+                out[jdx] = out.get(jdx, Fraction(0)) + c * coeff
+        return {jdx: c for jdx, c in out.items() if c}
 
 
 def _candidate_form(mod: IrrepModule, ca, cb) -> Fraction:
     """<f_i u, f_j w> evaluated one level up via contravariance."""
     i, u = ca
     j, w = cb
-    # e_i (f_j w) = f_j (e_i w) + [i == j] <a_i^v, wt(w)> w
+    # e_i (f_j w) = f_j (e_i w) + [i == j] <a_i^v, wt(w)> w; every t below
+    # has the weight of u
     val = Fraction(0)
     for z, cz in mod.raise_[i].get(w, ()):
         for t, ct in mod.lower[j].get(z, ()):
-            if tuple(mod.weights[t]) == tuple(mod.weights[u]):
-                val += cz * ct * mod.form(u, t)
+            val += cz * ct * mod.form(u, t)
     if i == j:
         val += Fraction(mod.weights[w][i]) * mod.form(u, w)
     return val
@@ -191,8 +193,11 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
         for mu in sorted(by_weight):
             cands = by_weight[mu]
             m = len(cands)
-            cg = [[_candidate_form(mod, cands[a], cands[b]) for b in range(m)]
-                  for a in range(m)]
+            # the contravariant form is symmetric: evaluate the upper triangle
+            cg = [[None] * m for _ in range(m)]
+            for a in range(m):
+                for b in range(a, m):
+                    cg[a][b] = cg[b][a] = _candidate_form(mod, cands[a], cands[b])
             echelon = linalg.Echelon()
             kept_pos = [p for p, row in enumerate(cg) if echelon.add(row)]
             ids = []
@@ -207,21 +212,21 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
                 creators[idx] = (i, parent)
                 ids.append(idx)
                 new_ids.append(idx)
+            # Expansion of every candidate over the kept basis of this weight:
+            # the kept Gram block is invertible, so one reduction of
+            # [kept block | dropped columns] solves for all dropped candidates.
+            combos = {pos: [(idx, Fraction(1))] for pos, idx in zip(kept_pos, ids)}
+            dropped = [pos for pos in range(m) if pos not in combos]
             if ids:
-                gb = [[cg[a][b] for b in kept_pos] for a in kept_pos]
-                mod.gram[mu] = (ids, gb)
-            # Expansion of every candidate over the kept basis of this weight.
+                mod.gram[mu] = (ids, [[cg[a][b] for b in kept_pos] for a in kept_pos])
+                if dropped:
+                    columns = kept_pos + dropped
+                    red, _ = linalg.rref([[cg[a][b] for b in columns] for a in kept_pos])
+                    for col, pos in enumerate(dropped, start=len(ids)):
+                        combos[pos] = [(idx, red[t][col]) for t, idx in enumerate(ids)
+                                       if red[t][col]]
             for pos, (i, parent) in enumerate(cands):
-                if pos in kept_pos:
-                    combo = [(ids[kept_pos.index(pos)], Fraction(1))]
-                elif ids:
-                    rhs = [cg[kp][pos] for kp in kept_pos]
-                    gb = [[cg[a][b] for b in kept_pos] for a in kept_pos]
-                    sol = linalg.solve_unique(gb, rhs)
-                    combo = [(ids[t], sol[t]) for t in range(len(ids)) if sol[t]]
-                else:
-                    combo = []
-                mod.lower[i][parent] = combo
+                mod.lower[i][parent] = combos.get(pos, [])
         # Raising action on the freshly kept vectors.
         for idx in new_ids:
             i, parent = creators[idx]

@@ -1,28 +1,54 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, entries are Fractions.  Everything here is
-deterministic and allocation-happy; sizes stay small (a few hundred rows
-at most), so clarity wins over cleverness.  There are two kernels: `rref`
-for solves, kernels and intersections, and the incremental `Echelon` for
-rank and independence.
+Matrices are lists of rows whose entries are ints or Fractions.  Both
+kernels eliminate fraction-free: every row is first scaled by the lcm of
+its denominators to a primitive integer row, rows are combined by
+cross-multiplication, and each result is divided by the gcd of its
+entries.  `rref` divides by its pivots only at the end, so it returns the
+same Fractions as Gauss-Jordan over the rationals (the reduced form is
+unique).  `rref` serves solves, kernels and intersections; the
+incremental `Echelon` serves rank and independence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = list
 Mat = list
 
+ZERO = Fraction(0)
+
 
 def zeros(n: int) -> Vec:
-    return [Fraction(0)] * n
+    return [ZERO] * n
+
+
+def _divide_gcd(row: list) -> list:
+    """An integer row divided by the gcd of its entries (a zero row stays zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _primitive(v: Sequence) -> list:
+    """`v` scaled by the lcm of its denominators to a primitive integer row."""
+    d = lcm(*(x.denominator for x in v))
+    return _divide_gcd([x.numerator * (d // x.denominator) for x in v])
+
+
+def _eliminate(v: list, row: list, c: int) -> list:
+    """Primitive combination of `v` and `row` that is zero in column c,
+    where row[c] != 0."""
+    g = gcd(row[c], v[c])
+    p, f = row[c] // g, v[c] // g
+    return _divide_gcd([p * a - f * b for a, b in zip(v, row)])
 
 
 class Echelon:
-    """Rows in echelon form, grown one vector at a time.  Each kept row has
-    pivot entry 1 and is zero at the pivots of the rows kept before it."""
+    """Primitive integer rows in echelon form, grown one vector at a time.
+    Each kept row is zero at the pivots of the rows kept before it."""
 
     def __init__(self, rows: Sequence[Sequence] = ()):
         self.rows: list = []
@@ -35,16 +61,14 @@ class Echelon:
 
     def add(self, v: Sequence) -> bool:
         """Keep `v` when it is independent of the rows so far; report that."""
-        v = list(v)
+        v = _primitive(v)
         for row, pc in zip(self.rows, self.pivots):
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
+            if v[pc]:
+                v = _eliminate(v, row, pc)
         pivot = next((c for c, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        inv = Fraction(1) / v[pivot]
-        self.rows.append([x * inv for x in v])
+        self.rows.append(v)
         self.pivots.append(pivot)
         return True
 
@@ -56,32 +80,28 @@ class Echelon:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form; returns (matrix of Fractions, pivot column
+    indices)."""
+    rows = [_primitive(row) for row in m]
+    n = len(rows)
+    cols = len(rows[0]) if n else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], rows[r], c)
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n:
             break
-    return m, pivots
+    out = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(rows, pivots)]
+    out += [zeros(cols) for _ in range(n - r)]
+    return out, pivots
 
 
 def rank(m: Mat) -> int:

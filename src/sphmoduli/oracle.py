@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, _neg, _sub, build_chevalley
-from .irreps import apply, build_irrep
+from .irreps import build_irrep
 from .rootsys import positive_roots
 from .wmonoid import WeightMonoidContext
 
@@ -34,13 +34,14 @@ class AmbientModel:
     ids_at: dict           # twisted weight (simple-root coords) -> global ids
 
     def apply_root(self, root: tuple, vec: dict) -> dict:
-        """The operator of a root on a sparse vector of V, module by module."""
+        """The operator of a root on a sparse vector of V, module by module;
+        only the columns of the vector's ids are built."""
         out = {}
         for k, mod in enumerate(self.modules):
             off = self.offsets[k]
             part = {g - off: c for g, c in vec.items() if off <= g < off + mod.dim}
             if part:
-                image = apply(mod.root_operator(self.alg, root), part)
+                image = mod.apply_root(self.alg, root, part)
                 out.update((off + t, c) for t, c in image.items())
         return out
 

@@ -11,7 +11,6 @@ from sphmoduli import (
     freudenthal_multiplicities,
     weyl_dimension,
 )
-from sphmoduli.irreps import apply
 
 
 def test_a1_sym_square():
@@ -53,6 +52,8 @@ def test_dimension_budget():
     ("G2", (0, 1)),
     ("A3", (1, 0, 1)),
     ("A1xA1", (2, 3)),
+    ("G2", (2, 1)),       # weight multiplicities up to 9
+    ("B3", (1, 1, 0)),    # weight multiplicities up to 5
 ])
 def test_dimension_and_multiplicities(name, lam):
     rs = build_root_system(name)
@@ -63,7 +64,13 @@ def test_dimension_and_multiplicities(name, lam):
     assert sum(freud.values()) == mod.dim
 
 
-@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("B2", (1, 1)), ("G2", (1, 0))])
+@pytest.mark.parametrize("name,lam", [
+    ("A2", (1, 1)),
+    ("B2", (1, 1)),
+    ("G2", (1, 0)),
+    ("G2", (1, 1)),       # weight multiplicities up to 4
+    ("B3", (1, 1, 0)),    # weight multiplicities up to 5
+])
 def test_contravariance_on_all_pairs(name, lam):
     rs = build_root_system(name)
     mod = build_irrep(rs, lam)
@@ -88,9 +95,9 @@ def test_highest_vector_killed_by_raising():
         assert mod.raise_[i].get(0, []) == []
 
 
-def _commutator(x, y, vec):
-    out = apply(x, apply(y, vec))
-    for t, c in apply(y, apply(x, vec)).items():
+def _commutator(mod, alg, a, b, vec):
+    out = mod.apply_root(alg, a, mod.apply_root(alg, b, vec))
+    for t, c in mod.apply_root(alg, b, mod.apply_root(alg, a, vec)).items():
         out[t] = out.get(t, Fraction(0)) - c
     return {t: c for t, c in out.items() if c}
 
@@ -100,9 +107,10 @@ def _commutator(x, y, vec):
     ("B3", (0, 0, 1)),
     ("C3", (0, 1, 0)),
     ("A1xA1", (2, 3)),
+    ("G2", (1, 1)),       # weight multiplicities up to 4
 ])
 def test_root_operator_commutator_is_coroot_action(name, lam):
-    # the operator tables satisfy the brackets of the Chevalley table:
+    # the operator columns satisfy the brackets of the Chevalley table:
     # [X_a, X_b] = N_ab X_(a+b) for a root a+b, [X_a, X_-a] is the coroot
     # action, and [X_a, X_b] = 0 otherwise
     rs = build_root_system(name)
@@ -114,13 +122,13 @@ def test_root_operator_commutator_is_coroot_action(name, lam):
             s = tuple(x + y for x, y in zip(a, b))
             for idx in range(mod.dim):
                 v = {idx: Fraction(1)}
-                got = _commutator(mod.root_operator(alg, a), mod.root_operator(alg, b), v)
+                got = _commutator(mod, alg, a, b, v)
                 if not any(s):
                     scale = rs.coroot_weight_pairing(a, mod.weights[idx])
                     expected = {idx: scale} if scale else {}
                 elif alg.is_root(s):
                     n = alg.constant(a, b)
-                    expected = {t: n * c for t, c in apply(mod.root_operator(alg, s), v).items()}
+                    expected = {t: n * c for t, c in mod.apply_root(alg, s, v).items()}
                 else:
                     expected = {}
                 assert got == expected, (a, b, idx)

@@ -202,6 +202,9 @@ def _fundamentals(rank, nodes):
     ("F4", (1, 4)),
     ("E6", (1, 6, 2)),
     ("E6", (1, 6)),
+    ("F4", (3,)),
+    ("E7", (7, 1)),
+    ("E8", (8,)),
 ])
 def test_oracle_agreement_beyond_rank_three(group, nodes):
     rs = build_root_system(group)
