@@ -5,12 +5,17 @@ conditions.  Subset tests assemble the unique candidate system (parabolic
 set, root set, colors with their pairings) and verify its axioms together
 with the two dual-cone conditions; the abstract color set is searched over
 all identifications consistent with equal pairings.
+
+The subset decision runs thousands of times per context in a walk, so it
+reads every per-root and per-simple-index quantity (lattice coefficients,
+color tokens and their values on roots, dual-cone data, Cartan pairings)
+from the tables of the context and its root system, which fill lazily on
+first use; see `wmonoid` and `rootsys`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -57,13 +62,7 @@ class SingletonVerdict:
 def _coroot_is_ray_multiple(ctx: WeightMonoidContext, k: int) -> bool:
     """Is some coroot of a simple root outside sp a positive multiple of the
     k-th dual basis functional?"""
-    target = ctx.dual_basis[k]
-    for i in range(ctx.n):
-        if i in ctx.sp_gamma:
-            continue
-        if ctx.coroot_functional(i).positive_multiple_of(target):
-            return True
-    return False
+    return any(k in ctx.cone_data(i)[0] for i in range(ctx.n) if i not in ctx.sp_gamma)
 
 
 def _singleton(ctx: WeightMonoidContext, root: SphericalRoot, strict: bool) -> SingletonVerdict:
@@ -235,13 +234,14 @@ def _axiom_sigma2(rs: RootSystem, sigma: Sequence[SphericalRoot]) -> bool:
     return True
 
 
-def _token_partitions(tokens: list, functionals: dict):
+def _token_partitions(tokens: list, classes: dict):
     """All partitions of color tokens into functional-homogeneous blocks that
     keep the two tokens of any one simple root apart.  Tokens are (k, sign)
-    with k the position of the root in sigma."""
+    with k the position of the root in sigma; `classes` maps each token to
+    the class of its functional (see `WeightMonoidContext.color_token`)."""
     by_functional: dict = {}
     for t in tokens:
-        by_functional.setdefault(functionals[t].values, []).append(t)
+        by_functional.setdefault(classes[t], []).append(t)
 
     def partitions_of(group: list):
         if not group:
@@ -279,27 +279,25 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
 
     simple_positions = [k for k, r in enumerate(sigma) if r.kind == KIND_SIMPLE]
     tokens = []
-    token_functional = {}
     for k in simple_positions:
-        colors = ctx.color_functionals(sigma[k].simple_index)
-        if len(colors) not in (1, 2):
+        if len(ctx.color_functionals(sigma[k].simple_index)) not in (1, 2):
             return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={"color_pair": False})
-        f_plus, f_minus = colors[0], colors[-1]
         tokens += [(k, "+"), (k, "-")]
-        token_functional[(k, "+")] = f_plus
-        token_functional[(k, "-")] = f_minus
 
     # Abstract color set: blocks of tokens with equal functionals such that
     # exactly two blocks pair to 1 with each simple member of sigma.  When no
     # partition qualifies, the singleton blocks (one of those tried) go to
-    # the axiom check, which rejects them under A2.
+    # the axiom check, which rejects them under A2.  A token (k, sign) of
+    # sigma is the context's token (i, sign) of a_i = sigma[k].
+    names = {t: (sigma[t[0]].simple_index, t[1]) for t in tokens}
     values = {
-        t: tuple(token_functional[t](coeff_map[r.coords]) for r in sigma)
+        t: tuple(ctx.token_value(*names[t], r.coords) for r in sigma)
         for t in tokens
     }
+    classes = {t: ctx.color_token(*names[t])[1] for t in tokens}
     part = next(
         (
-            p for p in _token_partitions(tokens, token_functional)
+            p for p in _token_partitions(tokens, classes)
             if all(sum(values[b[0]][k] == 1 for b in p) == 2 for k in simple_positions)
         ),
         sorted((t,) for t in tokens),
@@ -323,11 +321,11 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
                 v["sigma2"] = False
 
     # Full color set.
-    colors = [ColorData("a", b, token_functional[b[0]]) for b in part]
+    colors = [ColorData("a", b, ctx.color_token(*names[b[0]])[0]) for b in part]
     half_members = {r.simple_index for r in sigma if r.kind == KIND_DOUBLE}
     sigma_simples = {r.simple_index for r in sigma if r.kind == KIND_SIMPLE}
     for i in sorted(half_members):
-        colors.append(ColorData("2a", (i,), ctx.coroot_functional(i).scaled(Fraction(1, 2))))
+        colors.append(ColorData("2a", (i,), ctx.half_coroot_functional(i)))
     b_nodes = [
         i for i in range(ctx.n)
         if i not in sp and i not in sigma_simples and i not in half_members
@@ -337,15 +335,18 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
         colors.append(ColorData("b", block, ctx.coroot_functional(block[0])))
     check.colors = tuple(colors)
 
-    color_functionals = [c.functional for c in colors] + [
-        ctx.coroot_functional(i) for block in b_blocks for i in block[1:]
+    # Every color functional, with the coroots of the whole b blocks, by its
+    # context name: a token, or a coroot (the "2a" colors are half of one).
+    cones = [ctx.cone_data(*names[b[0]]) for b in part] + [
+        ctx.cone_data(i) for i in half_members.union(b_nodes)
     ]
+    rays = frozenset().union(*(c[0] for c in cones))
     v["rays"] = all(
-        any(f.positive_multiple_of(ctx.dual_basis[k]) for f in color_functionals)
+        k in rays
         for k in range(ctx.r)
         if any(coeff_map[r.coords][k] > 0 for r in sigma)
     )
-    v["dual_cone"] = all(f.is_nonnegative() for f in color_functionals)
+    v["dual_cone"] = all(c[1] for c in cones)
     return check
 
 

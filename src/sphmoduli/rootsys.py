@@ -5,12 +5,17 @@ input order; within a component the numbering follows Bourbaki.  Root
 vectors are integer tuples of simple-root coefficients, weights are integer
 tuples of fundamental-weight coefficients, so that the pairing of the i-th
 simple coroot with a weight is just coordinate i.
+
+A `RootSystem` memoises the weight of each root vector it is asked about
+(`root_to_weight`, which `pairing` reads), filled lazily.  The memo is not
+part of equality or hashing, so the caches keyed on a root system see the
+same keys as before.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -98,6 +103,9 @@ class RootSystem:
     components: tuple
     cartan: tuple
     symmetrizer: tuple
+    # root vector -> its weight; outside equality, hashing and repr
+    _weights: dict = field(default_factory=dict, init=False, compare=False,
+                           hash=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -105,12 +113,16 @@ class RootSystem:
 
     def pairing(self, i: int, v: RootVector) -> int:
         """<a_i^v, v> for a root vector v."""
-        row = self.cartan[i]
-        return sum(row[j] * v[j] for j in range(self.rank))
+        return self.root_to_weight(v)[i]
 
     def root_to_weight(self, v: RootVector) -> Weight:
-        """Fundamental coordinates of an element of the root lattice."""
-        return tuple(self.pairing(i, v) for i in range(self.rank))
+        """Fundamental coordinates of an element of the root lattice,
+        memoised on the instance."""
+        w = self._weights.get(v)
+        if w is None:
+            w = self._weights[v] = tuple(
+                sum(c * x for c, x in zip(row, v)) for row in self.cartan)
+        return w
 
     def weight_to_root(self, w: Weight) -> tuple:
         """Rational simple-root coordinates of a weight (the Cartan matrix

@@ -144,8 +144,8 @@ def compatible_with_sp(rs: RootSystem, root: SphericalRoot, sp: Iterable[int]) -
     B-type sum drops the short end node from both bounds, the C-type shape
     drops its first node from the lower bound only."""
     sp = frozenset(sp)
-    zero_in_support = {i for i in root.support if rs.pairing(i, root.coords) == 0}
-    zero_global = {i for i in range(rs.rank) if rs.pairing(i, root.coords) == 0}
+    zero_global = {i for i, x in enumerate(rs.root_to_weight(root.coords)) if x == 0}
+    zero_in_support = zero_global & root.support
     if root.kind == KIND_BN_SUM:
         short_end = root.labeling[-1]
         lower = zero_in_support - {short_end}

@@ -4,6 +4,13 @@ A context holds a linearly independent family F of dominant weights.  The
 monoid it generates is free, so the dual cone of the generated lattice has
 the dual basis of F as its ray generators, and functionals are stored
 simply by their value vectors on F.
+
+A context also tables, lazily and for its own lifetime, the data that the
+subset decision reads for every candidate set: the lattice coefficients of
+each root vector, the coroot functional and the color functionals of each
+simple root, the value of each color token on each root, and the dual-cone
+data (rays and sign) of each token and coroot.  Nothing is tabled when the
+context is built, and no table outlives it.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ class Functional:
 
 
 class WeightMonoidContext:
-    """Immutable bundle: root system, free basis F, and derived constants."""
+    """Immutable bundle: root system, free basis F, derived constants and
+    the lazy tables of the subset decision."""
 
     def __init__(self, rs: RootSystem, basis: Sequence[Weight]):
         self.rs = rs
@@ -92,7 +100,17 @@ class WeightMonoidContext:
         if self.r and linalg.rank(cols) < self.r:
             raise DependentBasis("basis weights are linearly dependent over Q")
         self._cols = cols
-        self._memo: dict = {}
+        # Lazy tables keyed by ints and int tuples; only `_classes` hashes
+        # functional values, once per token.
+        self._memo: dict = {}           # weight -> lattice coefficients
+        self._root_coeffs: dict = {}    # root vector -> lattice coefficients
+        self._coroots: dict = {}        # i -> coroot functional
+        self._half_coroots: dict = {}   # i -> half the coroot functional
+        self._colors: dict = {}         # i -> color functionals, a tuple
+        self._tokens: dict = {}         # (i, sign) -> (functional, class)
+        self._classes: dict = {}        # functional values -> class
+        self._token_values: dict = {}   # (i, sign, root vector) -> value
+        self._cones: dict = {}          # (i, sign) -> (rays, nonnegative)
         self.sp_gamma = frozenset(
             i for i in range(self.n) if all(w[i] == 0 for w in self.basis)
         )
@@ -124,18 +142,33 @@ class WeightMonoidContext:
         return result
 
     def in_lattice_root(self, v: RootVector) -> Optional[tuple]:
-        return self.in_lattice(self.rs.root_to_weight(v))
+        if v not in self._root_coeffs:
+            self._root_coeffs[v] = self.in_lattice(self.rs.root_to_weight(v))
+        return self._root_coeffs[v]
 
     # -- functionals ---------------------------------------------------------
 
     def coroot_functional(self, i: int) -> Functional:
         """Restriction of the i-th simple coroot to the basis F."""
-        return Functional(tuple(w[i] for w in self.basis))
+        f = self._coroots.get(i)
+        if f is None:
+            f = self._coroots[i] = Functional(tuple(w[i] for w in self.basis))
+        return f
 
-    def color_functionals(self, i: int) -> list:
+    def half_coroot_functional(self, i: int) -> Functional:
+        """Half the coroot functional of i: the color of a doubled root 2a_i."""
+        f = self._half_coroots.get(i)
+        if f is None:
+            f = self._half_coroots[i] = self.coroot_functional(i).scaled(Fraction(1, 2))
+        return f
+
+    def color_functionals(self, i: int) -> tuple:
         """The functionals taking value 1 on the i-th simple root that are a
         dual-basis element or the coroot minus one.  These are the candidate
         color pairings attached to a simple spherical root."""
+        colors = self._colors.get(i)
+        if colors is not None:
+            return colors
         coeffs = self.in_lattice_root(tuple(1 if j == i else 0 for j in range(self.n)))
         if coeffs is None:
             raise LatticeMembershipError(
@@ -153,7 +186,47 @@ class WeightMonoidContext:
             if f.values not in seen:
                 seen.add(f.values)
                 unique.append(f)
-        return unique
+        colors = self._colors[i] = tuple(unique)
+        return colors
+
+    # -- color tokens --------------------------------------------------------
+    #
+    # A simple member a_i of a root set carries two color tokens: (i, "+")
+    # with the first and (i, "-") with the last of `color_functionals(i)`.
+
+    def color_token(self, i: int, sign: str) -> tuple:
+        """(functional, class) of the token (i, sign).  Tokens of any simple
+        roots share a class exactly when their functionals are equal."""
+        token = self._tokens.get((i, sign))
+        if token is None:
+            colors = self.color_functionals(i)
+            f = colors[0] if sign == "+" else colors[-1]
+            cls = self._classes.setdefault(f.values, len(self._classes))
+            token = self._tokens[(i, sign)] = (f, cls)
+        return token
+
+    def token_value(self, i: int, sign: str, v: RootVector) -> Fraction:
+        """Value of the token (i, sign) on the lattice coefficients of the
+        root v, which must lie in the lattice."""
+        key = (i, sign, v)
+        value = self._token_values.get(key)
+        if value is None:
+            value = self._token_values[key] = self.color_token(i, sign)[0](
+                self.in_lattice_root(v))
+        return value
+
+    def cone_data(self, i: int, sign: Optional[str] = None) -> tuple:
+        """(rays, nonnegative) of the token (i, sign), or of the coroot of i
+        when sign is None: the k for which the functional is a positive
+        multiple of dual_basis[k], and whether it lies in the dual cone.
+        Positive multiples of the coroot share these."""
+        data = self._cones.get((i, sign))
+        if data is None:
+            f = self.coroot_functional(i) if sign is None else self.color_token(i, sign)[0]
+            rays = frozenset(
+                k for k in range(self.r) if f.positive_multiple_of(self.dual_basis[k]))
+            data = self._cones[(i, sign)] = (rays, f.is_nonnegative())
+        return data
 
     def __repr__(self):
         return f"WeightMonoidContext({self.rs.components}, F={list(self.basis)})"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import catalog_by_name
@@ -286,3 +288,82 @@ def test_consistency_exhaustive_grid(group, max_coord, max_r):
         for root in spherical_root_catalog(ctx.rs):
             assert (is_n_adapted_singleton(ctx, root).ok
                     == is_n_adapted_subset(ctx, [root]).ok), (ctx.basis, root.name())
+
+
+def _reference_colors(ctx, i):
+    """color_functionals(i) from its definition, without the context's
+    tables: e_k and coroot - e_k for each k where a_i has coefficient 1."""
+    rs = ctx.rs
+    coeffs = ctx.in_lattice(tuple(rs.cartan[j][i] for j in range(rs.rank)))
+    if coeffs is None:
+        return None
+    coroot = tuple(w[i] for w in ctx.basis)
+    found = set()
+    for k, c in enumerate(coeffs):
+        if c == 1:
+            e = tuple(int(j == k) for j in range(ctx.r))
+            found |= {e, tuple(a - b for a, b in zip(coroot, e))}
+    return sorted(found)
+
+
+def _check_tables(ctx):
+    """Every table entry of the context against its definition."""
+    rs = ctx.rs
+    for i in range(rs.rank):
+        coroot = tuple(w[i] for w in ctx.basis)
+        rays = {k for k in range(ctx.r) if coroot[k] > 0 and not any(coroot[:k] + coroot[k + 1:])}
+        assert ctx.cone_data(i) == (rays, True)
+    for root in spherical_root_catalog(rs):
+        weight = tuple(sum(a * c for a, c in zip(row, root.coords)) for row in rs.cartan)
+        for i in range(rs.rank):
+            assert rs.pairing(i, root.coords) == weight[i]
+        coeffs = ctx.in_lattice(weight)
+        assert ctx.in_lattice_root(root.coords) == coeffs
+        for i in range(rs.rank):
+            colors = _reference_colors(ctx, i)
+            if coeffs is None or not colors:
+                continue
+            for sign, f in (("+", colors[0]), ("-", colors[-1])):
+                value = sum(a * c for a, c in zip(f, coeffs))
+                assert ctx.token_value(i, sign, root.coords) == value, (i, sign, root)
+                rays = {k for k in range(ctx.r)
+                        if f[k] > 0 and not any(f[:k] + f[k + 1:])}
+                assert ctx.cone_data(i, sign) == (rays, min(f) >= 0)
+
+
+def _table_contexts(name):
+    """The crossed lines, or every basis with coordinates up to max_coord,
+    taking every stride-th (the grids are ordered by basis size)."""
+    if name == "crossed lines":
+        return [build_context(build_root_system("A1xA1"), [(2, 0), (4, 2)])]
+    group, max_coord, stride = name.split(":")
+    rank = build_root_system(group).rank
+    return _grid_contexts(group, int(max_coord), rank)[::int(stride)]
+
+
+# On rank 3 every 7th of the 56 {0,1} bases: the whole grids would make this
+# the slowest test of the suite.
+@pytest.mark.parametrize("name", [
+    "crossed lines", "A2:2:1", "B2:2:1", "G2:2:1", "A3:1:7", "C3:1:7",
+])
+def test_context_tables_match_fresh_contexts(name):
+    # a context whose tables were filled by a whole walk decides every small
+    # subset, in shuffled order, as a fresh context does
+    from itertools import combinations
+    rng = random.Random(name)
+    for ctx in _table_contexts(name):
+        _check_tables(ctx)
+        catalog = spherical_root_catalog(ctx.rs)
+        subsets = [s for size in range(4) for s in combinations(catalog, size)]
+        enumerate_n_adapted_subsets(ctx)
+        rng.shuffle(subsets)
+        for sigma in subsets:
+            fresh_ctx = build_context(ctx.rs, ctx.basis)
+            shared = is_adapted_subset(ctx, sigma)
+            fresh = is_adapted_subset(fresh_ctx, sigma)
+            assert shared.verdicts == fresh.verdicts, (ctx, sigma)
+            assert shared.colors == fresh.colors, (ctx, sigma)
+            shared = is_n_adapted_subset(ctx, sigma)
+            fresh = is_n_adapted_subset(fresh_ctx, sigma)
+            assert (shared.ok, shared.witness) == (fresh.ok, fresh.witness), (ctx, sigma)
+        _check_tables(ctx)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sphmoduli import (
     build_context,
@@ -16,6 +18,7 @@ from sphmoduli import (
 )
 from sphmoduli import linalg
 from sphmoduli.chevalley import _neg
+from sphmoduli.wmonoid import DependentBasis
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +212,24 @@ def _fundamentals(rank, nodes):
 def test_oracle_agreement_beyond_rank_three(group, nodes):
     rs = build_root_system(group)
     ctx = build_context(rs, _fundamentals(rs.rank, nodes))
+    rep = oracle_tangent_weights(build_model(ctx))
+    assert rep.weight_coords() == tangent_space(ctx).weight_coords()
+    assert all(d == 1 for d in rep.weights.values())
+
+
+_rank_two_weight = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["A1xA1", "A2", "B2", "G2"]),
+       st.lists(_rank_two_weight, min_size=1, max_size=2, unique=True))
+def test_oracle_agreement_on_random_bases(group, basis):
+    # beside the seeded criterion-2 battery: any independent dominant basis
+    # with coordinates <= 2 on a rank-two group
+    try:
+        ctx = build_context(build_root_system(group), basis)
+    except DependentBasis:
+        assume(False)
     rep = oracle_tangent_weights(build_model(ctx))
     assert rep.weight_coords() == tangent_space(ctx).weight_coords()
     assert all(d == 1 for d in rep.weights.values())

@@ -1,0 +1,83 @@
+"""One digest of every `analyze` report on a fixed set of cases.
+
+    python3 tools/report_digest.py SOURCE_ROOT
+
+imports `sphmoduli` from SOURCE_ROOT/src and runs `cli.main` in process, in
+`--json` and in text mode, on every case of the three workloads of
+`perfbench/corpus.py` (taken from the checkout that holds this script, so two
+source roots are compared on the same cases) plus a few extra contexts.  It
+prints the number of reports and one sha256 over each report's standard
+output, standard error and exit status.  Two source roots with the same
+count and hash produced byte-identical reports.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+# (group, weights, flags) beyond the benchmark corpora: deep groups on the
+# oracle, the oracle and the walk together, the zero lattice and a module
+# dimension cap that refuses.
+EXTRA_CASES = (
+    ("E6", [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]], ("--oracle",)),
+    ("B3", [[1, 1, 1]], ("--oracle",)),
+    ("D4", [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ("--oracle",)),
+    ("C3", [[0, 2, 0], [1, 0, 1]], ("--oracle",)),
+    ("G2", [[1, 1]], ("--oracle",)),
+    ("E7", [[0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0]], ("--oracle",)),
+    ("E8", [[0, 0, 0, 0, 0, 0, 0, 1]], ("--oracle",)),
+    ("F4", [[0, 0, 1, 0]], ("--oracle",)),
+    ("A3", [[1, 0, 0], [1, 1, 0], [1, 1, 1]], ("--oracle", "--enumerate-subsets")),
+    ("A2", [], ("--oracle",)),
+    ("B2", [[2, 0]], ("--oracle", "--irrep-dim-cap", "3")),
+)
+
+
+def cases() -> list:
+    """argv of every case, without the output mode."""
+    sys.path.insert(0, str(HERE / "perfbench"))
+    import corpus
+    out = []
+    for name in ("subsets", "oracle", "sweep"):
+        for case in corpus.WORKLOADS[name]():
+            out.append([a for a in case.argv() if a != "--json"])
+    for group, weights, flags in EXTRA_CASES:
+        out.append(["analyze", "--group", group, "--weights", json.dumps(weights), *flags])
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/report_digest.py SOURCE_ROOT", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(args[0]).resolve() / "src"))
+    from sphmoduli import cli
+
+    digest = hashlib.sha256()
+    count = 0
+    for base in cases():
+        for mode in (["--json"], []):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = cli.main(base + mode)
+                except SystemExit as exc:
+                    status = exc.code
+            for part in (" ".join(base + mode), out.getvalue(), err.getvalue(), str(status)):
+                digest.update(part.encode())
+                digest.update(b"\0")
+            count += 1
+    print(f"reports {count} sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
