@@ -6,11 +6,11 @@ set, root set, colors with their pairings) and verify its axioms together
 with the two dual-cone conditions; the abstract color set is searched over
 all identifications consistent with equal pairings.
 
-The subset decision runs thousands of times per context in a walk, so it
-reads every per-root and per-simple-index quantity (lattice coefficients,
-color tokens and their values on roots, dual-cone data, Cartan pairings)
-from the tables of the context and its root system, which fill lazily on
-first use; see `wmonoid` and `rootsys`.
+The subset decision runs thousands of times per context in a walk.  It
+reads the data of each simple root (color tokens, their classes, dual-cone
+data) from attributes the context computes when it is built, and what is
+keyed by roots (lattice coefficients, token values, Cartan pairings) from
+the memos of the context and its root system; see `wmonoid` and `rootsys`.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class SingletonVerdict:
 def _coroot_is_ray_multiple(ctx: WeightMonoidContext, k: int) -> bool:
     """Is some coroot of a simple root outside sp a positive multiple of the
     k-th dual basis functional?"""
-    return any(k in ctx.cone_data(i)[0] for i in range(ctx.n) if i not in ctx.sp_gamma)
+    return any(k in ctx.cones[i, None][0] for i in range(ctx.n) if i not in ctx.sp_gamma)
 
 
 def _singleton(ctx: WeightMonoidContext, root: SphericalRoot, strict: bool) -> SingletonVerdict:
@@ -238,7 +238,7 @@ def _token_partitions(tokens: list, classes: dict):
     """All partitions of color tokens into functional-homogeneous blocks that
     keep the two tokens of any one simple root apart.  Tokens are (k, sign)
     with k the position of the root in sigma; `classes` maps each token to
-    the class of its functional (see `WeightMonoidContext.color_token`)."""
+    the class of its functional (see `WeightMonoidContext.token_classes`)."""
     by_functional: dict = {}
     for t in tokens:
         by_functional.setdefault(classes[t], []).append(t)
@@ -294,7 +294,7 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
         t: tuple(ctx.token_value(*names[t], r.coords) for r in sigma)
         for t in tokens
     }
-    classes = {t: ctx.color_token(*names[t])[1] for t in tokens}
+    classes = {t: ctx.token_classes[names[t]] for t in tokens}
     part = next(
         (
             p for p in _token_partitions(tokens, classes)
@@ -321,24 +321,24 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
                 v["sigma2"] = False
 
     # Full color set.
-    colors = [ColorData("a", b, ctx.color_token(*names[b[0]])[0]) for b in part]
+    colors = [ColorData("a", b, ctx.tokens[names[b[0]]]) for b in part]
     half_members = {r.simple_index for r in sigma if r.kind == KIND_DOUBLE}
     sigma_simples = {r.simple_index for r in sigma if r.kind == KIND_SIMPLE}
     for i in sorted(half_members):
-        colors.append(ColorData("2a", (i,), ctx.half_coroot_functional(i)))
+        colors.append(ColorData("2a", (i,), ctx.half_coroots[i]))
     b_nodes = [
         i for i in range(ctx.n)
         if i not in sp and i not in sigma_simples and i not in half_members
     ]
     b_blocks = _b_color_classes(rs, sigma, b_nodes)
     for block in b_blocks:
-        colors.append(ColorData("b", block, ctx.coroot_functional(block[0])))
+        colors.append(ColorData("b", block, ctx.coroots[block[0]]))
     check.colors = tuple(colors)
 
     # Every color functional, with the coroots of the whole b blocks, by its
     # context name: a token, or a coroot (the "2a" colors are half of one).
-    cones = [ctx.cone_data(*names[b[0]]) for b in part] + [
-        ctx.cone_data(i) for i in half_members.union(b_nodes)
+    cones = [ctx.cones[names[b[0]]] for b in part] + [
+        ctx.cones[i, None] for i in half_members.union(b_nodes)
     ]
     rays = frozenset().union(*(c[0] for c in cones))
     v["rays"] = all(

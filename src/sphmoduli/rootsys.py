@@ -8,8 +8,8 @@ simple coroot with a weight is just coordinate i.
 
 A `RootSystem` memoises the weight of each root vector it is asked about
 (`root_to_weight`, which `pairing` reads), filled lazily.  The memo is not
-part of equality or hashing, so the caches keyed on a root system see the
-same keys as before.
+part of equality or hashing, so it leaves the keys of the caches keyed on a
+root system alone.
 """
 
 from __future__ import annotations

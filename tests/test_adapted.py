@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import catalog_by_name
 from sphmoduli import (
+    LatticeMembershipError,
     build_context,
     build_root_system,
     check_span_closure,
@@ -266,7 +269,7 @@ def test_shared_color_component(shared_color_ctx):
 
 
 def _grid_contexts(group, max_coord, max_r):
-    from itertools import combinations, product
+    from itertools import combinations
     rs = build_root_system(group)
     vectors = [v for v in product(range(max_coord + 1), repeat=rs.rank) if any(v)]
     out = []
@@ -306,29 +309,47 @@ def _reference_colors(ctx, i):
     return sorted(found)
 
 
+def _rays(f):
+    """The k at which f is the only nonzero value, when that value is positive."""
+    return {k for k in range(len(f)) if f[k] > 0 and not any(f[:k] + f[k + 1:])}
+
+
 def _check_tables(ctx):
-    """Every table entry of the context against its definition."""
+    """Every simple-root attribute and memo entry of the context against its
+    definition."""
     rs = ctx.rs
+    colors = [_reference_colors(ctx, i) for i in range(rs.rank)]
+    expected_tokens = {}
     for i in range(rs.rank):
         coroot = tuple(w[i] for w in ctx.basis)
-        rays = {k for k in range(ctx.r) if coroot[k] > 0 and not any(coroot[:k] + coroot[k + 1:])}
-        assert ctx.cone_data(i) == (rays, True)
+        assert ctx.coroots[i].values == coroot
+        assert ctx.half_coroots[i].values == tuple(Fraction(c, 2) for c in coroot)
+        assert ctx.cones[i, None] == (_rays(coroot), True)
+        if colors[i] is None:
+            with pytest.raises(LatticeMembershipError):
+                ctx.color_functionals(i)
+            continue
+        assert [f.values for f in ctx.color_functionals(i)] == colors[i]
+        if colors[i]:
+            expected_tokens[i, "+"], expected_tokens[i, "-"] = colors[i][0], colors[i][-1]
+    assert {t: f.values for t, f in ctx.tokens.items()} == expected_tokens
+    for t, f in expected_tokens.items():
+        assert ctx.cones[t] == (_rays(f), min(f) >= 0)
+    # token classes are equal exactly when the functionals are
+    for t, u in product(expected_tokens, repeat=2):
+        same = expected_tokens[t] == expected_tokens[u]
+        assert (ctx.token_classes[t] == ctx.token_classes[u]) == same, (t, u)
     for root in spherical_root_catalog(rs):
         weight = tuple(sum(a * c for a, c in zip(row, root.coords)) for row in rs.cartan)
         for i in range(rs.rank):
             assert rs.pairing(i, root.coords) == weight[i]
         coeffs = ctx.in_lattice(weight)
         assert ctx.in_lattice_root(root.coords) == coeffs
-        for i in range(rs.rank):
-            colors = _reference_colors(ctx, i)
-            if coeffs is None or not colors:
-                continue
-            for sign, f in (("+", colors[0]), ("-", colors[-1])):
-                value = sum(a * c for a, c in zip(f, coeffs))
-                assert ctx.token_value(i, sign, root.coords) == value, (i, sign, root)
-                rays = {k for k in range(ctx.r)
-                        if f[k] > 0 and not any(f[:k] + f[k + 1:])}
-                assert ctx.cone_data(i, sign) == (rays, min(f) >= 0)
+        if coeffs is None:
+            continue
+        for (i, sign), f in expected_tokens.items():
+            value = sum(a * c for a, c in zip(f, coeffs))
+            assert ctx.token_value(i, sign, root.coords) == value, (i, sign, root)
 
 
 def _table_contexts(name):

@@ -12,7 +12,6 @@ from sphmoduli import (
     build_root_system,
     positive_roots,
 )
-from sphmoduli.rootsys import support
 
 
 def test_crossed_lines_context_basics(crossed_lines):
@@ -23,8 +22,10 @@ def test_crossed_lines_context_basics(crossed_lines):
 
 
 def test_crossed_lines_coroot_functionals(crossed_lines):
-    assert crossed_lines.coroot_functional(0).values == (2, 4)
-    assert crossed_lines.coroot_functional(1).values == (0, 2)
+    assert crossed_lines.coroots[0].values == (2, 4)
+    assert crossed_lines.coroots[1].values == (0, 2)
+    assert crossed_lines.half_coroots[0].values == (1, 2)
+    assert crossed_lines.half_coroots[1].values == (0, 1)
 
 
 def test_crossed_lines_color_functionals(crossed_lines):
@@ -38,9 +39,13 @@ def test_sl2_color_functionals(sl2_even):
 
 
 def test_color_functionals_requires_lattice_membership():
+    # neither simple root lies in the lattice: the context still builds, with
+    # no color tokens, and asking for the colors raises
     ctx = build_context(build_root_system("A2"), [(1, 0)])
-    with pytest.raises(LatticeMembershipError):
-        ctx.color_functionals(0)
+    assert ctx.tokens == {} and ctx.token_classes == {}
+    for i in range(2):
+        with pytest.raises(LatticeMembershipError):
+            ctx.color_functionals(i)
 
 
 def test_non_dominant_weight_reports_index():
@@ -87,12 +92,12 @@ def test_lattice_membership_is_exact(crossed_lines):
 
 
 def test_f_perp_support_characterization(battery):
-    # orthogonality to every basis weight is the same as having support
-    # inside the common vanishing set, thanks to dominance
+    # f_perp is read off supports; check it against its definition, the
+    # positive roots whose coroot pairs to zero with every basis weight
     for _, ctx in battery:
         perp = set(ctx.f_perp)
         for beta in positive_roots(ctx.rs):
-            expected = support(beta) <= ctx.sp_gamma
+            expected = all(ctx.rs.coroot_weight_pairing(beta, w) == 0 for w in ctx.basis)
             assert (beta in perp) == expected
 
 

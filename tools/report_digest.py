@@ -8,7 +8,12 @@ imports `sphmoduli` from SOURCE_ROOT/src and runs `cli.main` in process, in
 source roots are compared on the same cases) plus a few extra contexts.  It
 prints the number of reports and one sha256 over each report's standard
 output, standard error and exit status.  Two source roots with the same
-count and hash produced byte-identical reports.  Stdlib only.
+count and hash produced byte-identical reports.
+
+A second line digests the subset decisions themselves: `is_adapted_subset`
+(`ok`, `verdicts`, `colors`) and `is_n_adapted_subset` (`ok`, `witness`) on
+every catalog subset of size at most 3, for every independent basis (the
+empty one included) of the small grids in `DECISION_GRIDS`.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import hashlib
 import io
 import json
 import sys
+from itertools import combinations, product
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -37,6 +43,13 @@ EXTRA_CASES = (
     ("A3", [[1, 0, 0], [1, 1, 0], [1, 1, 1]], ("--oracle", "--enumerate-subsets")),
     ("A2", [], ("--oracle",)),
     ("B2", [[2, 0]], ("--oracle", "--irrep-dim-cap", "3")),
+)
+
+# (group, largest basis coordinate) of the decision digest.
+DECISION_GRIDS = (
+    ("A1", 6),
+    ("A1xA1", 3), ("A2", 3), ("B2", 3), ("G2", 3),
+    ("A3", 1), ("B3", 1), ("C3", 1), ("A2xA1", 1),
 )
 
 
@@ -76,7 +89,36 @@ def main(argv=None) -> int:
                 digest.update(b"\0")
             count += 1
     print(f"reports {count} sha256 {digest.hexdigest()}")
+    print(decision_digest())
     return 0
+
+
+def decision_digest() -> str:
+    """Count and sha256 of the subset decisions on `DECISION_GRIDS`."""
+    import sphmoduli as sm
+
+    digest = hashlib.sha256()
+    count = 0
+    for group, max_coord in DECISION_GRIDS:
+        rs = sm.build_root_system(group)
+        catalog = sm.spherical_root_catalog(rs)
+        vectors = [v for v in product(range(max_coord + 1), repeat=rs.rank) if any(v)]
+        for basis in (b for r in range(rs.rank + 1) for b in combinations(vectors, r)):
+            try:
+                ctx = sm.build_context(rs, list(basis))
+            except ValueError:
+                continue
+            for sigma in (s for size in range(4) for s in combinations(catalog, size)):
+                check = sm.is_adapted_subset(ctx, sigma)
+                n_check = sm.is_n_adapted_subset(ctx, sigma)
+                witness = n_check.witness and [r.coords for r in n_check.witness]
+                colors = [(c.kind, c.anchor, c.functional.values) for c in check.colors]
+                record = (group, basis, [r.coords for r in sigma], check.ok,
+                          check.verdicts, colors, n_check.ok, witness)
+                digest.update(repr(record).encode())
+                digest.update(b"\0")
+                count += 1
+    return f"decisions {count} sha256 {digest.hexdigest()}"
 
 
 if __name__ == "__main__":
