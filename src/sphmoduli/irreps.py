@@ -1,15 +1,18 @@
-"""Explicit irreducible highest-weight modules with exact rational entries.
+"""Explicit irreducible highest-weight modules with exact entries.
 
 The module is generated from a highest weight vector by the simple lowering
 operators; at each weight the symmetric form with <f.u, w> = <u, e.w> is
 evaluated on the candidate vectors, and its rank cuts out the part that
-survives in the irreducible quotient.  Basis vectors are tagged with their
-weight, so the torus acts diagonally by construction.
+survives in the irreducible quotient.  Basis vectors are Chevalley
+monomials f_i1 ... f_ik v+, on which the form is integral, so Gram matrices
+hold ints.  They are tagged with their weight, so the torus acts diagonally
+by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, _neg
@@ -101,7 +104,8 @@ class IrrepModule:
         self.depths = [tuple(0 for _ in range(rs.rank))]
         self.lower = [dict() for _ in range(rs.rank)]   # f_i combos, id -> [(id, coeff)]
         self.raise_ = [dict() for _ in range(rs.rank)]  # e_i combos
-        self.gram = {highest: ([0], [[Fraction(1)]])}   # weight -> (ids, matrix)
+        self.gram = {highest: ([0], [[1]])}   # weight -> (ids, int matrix)
+        self.position = [0]                   # id -> its place in gram[weight][0]
         # root -> {id: image column}, seeded with the simple tables filled in
         # by build_irrep; non-simple columns are added as they are asked for
         self._columns = {}
@@ -114,12 +118,11 @@ class IrrepModule:
         entry = self.gram.get(tuple(w))
         return list(entry[0]) if entry else []
 
-    def form(self, a: int, b: int) -> Fraction:
+    def form(self, a: int, b: int) -> int:
         wa = tuple(self.weights[a])
         if tuple(self.weights[b]) != wa:
-            return Fraction(0)
-        ids, mat = self.gram[wa]
-        return mat[ids.index(a)][ids.index(b)]
+            return 0
+        return self.gram[wa][1][self.position[a]][self.position[b]]
 
     def column(self, alg: ChevalleyAlgebra, root: tuple, idx: int):
         """Image [(id, coeff)] of basis vector `idx` under the operator of a
@@ -153,19 +156,17 @@ class IrrepModule:
         return {jdx: c for jdx, c in out.items() if c}
 
 
-def _candidate_form(mod: IrrepModule, ca, cb) -> Fraction:
-    """<f_i u, f_j w> evaluated one level up via contravariance."""
-    i, u = ca
-    j, w = cb
-    # e_i (f_j w) = f_j (e_i w) + [i == j] <a_i^v, wt(w)> w; every t below
-    # has the weight of u
-    val = Fraction(0)
-    for z, cz in mod.raise_[i].get(w, ()):
-        for t, ct in mod.lower[j].get(z, ()):
-            val += cz * ct * mod.form(u, t)
-    if i == j:
-        val += Fraction(mod.weights[w][i]) * mod.form(u, w)
-    return val
+def _integral(num: int, den: int) -> int:
+    """num / den, which must be an integer: a remainder raises, never rounds."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"non-integral Gram matrix entry {Fraction(num, den)}")
+    return q
+
+
+def _exact(c):
+    """A coefficient as an int when it is integral, else as it is."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule:
@@ -180,64 +181,63 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
     alpha_w = [rs.root_to_weight(tuple(1 if j == i else 0 for j in range(n)))
                for i in range(n)]
     mod = IrrepModule(rs, lam)
-    creators: dict = {}
+    place = mod.position
     prev_ids = [0]
     while prev_ids:
         by_weight: dict = {}
         for parent in prev_ids:
-            wp = mod.weights[parent]
-            for i in range(n):
-                mu = tuple(m - x for m, x in zip(wp, alpha_w[i]))
+            for i, a in enumerate(alpha_w):
+                mu = tuple(m - x for m, x in zip(mod.weights[parent], a))
                 by_weight.setdefault(mu, []).append((i, parent))
-        new_ids: list = []
+        start = mod.dim
         for mu in sorted(by_weight):
             cands = by_weight[mu]
             m = len(cands)
-            # the contravariant form is symmetric: evaluate the upper triangle
-            cg = [[None] * m for _ in range(m)]
-            for a in range(m):
+            # raised[b][k] = e_k f_j w = f_j (e_k w) + [k == j] <a_k^v, wt w> w for b = (j, w),
+            # as (d, coefficients times d) on the kept basis at mu + a_k; zero unless k in ks
+            ks = {i for i, _ in cands}   # the k for which mu + a_k is a weight
+            raised = [{} for _ in range(m)]
+            for b, (j, w) in enumerate(cands):
+                for k in ks:
+                    combo: dict = {w: mod.weights[w][k]} if k == j else {}
+                    for z, cz in mod.raise_[k].get(w, ()):
+                        for t, ct in mod.lower[j][z]:
+                            combo[t] = combo.get(t, 0) + cz * ct
+                    d = lcm(*(c.denominator for c in combo.values()))
+                    raised[b][k] = (d, [(t, c.numerator * (d // c.denominator))
+                                        for t, c in sorted(combo.items()) if c])
+            # <f_i u, f_j w> = <u, e_i f_j w>, the Gram row of u against a raised
+            # vector; the form is symmetric, so the upper triangle is evaluated
+            cg = [[0] * m for _ in range(m)]
+            for a, (i, u) in enumerate(cands):
+                row = mod.gram[mod.weights[u]][1][place[u]]
                 for b in range(a, m):
-                    cg[a][b] = cg[b][a] = _candidate_form(mod, cands[a], cands[b])
+                    d, x = raised[b][i]
+                    cg[a][b] = cg[b][a] = _integral(sum(row[place[t]] * c for t, c in x), d)
             echelon = linalg.Echelon()
             kept_pos = [p for p, row in enumerate(cg) if echelon.add(row)]
-            ids = []
-            for pos in kept_pos:
+            ids = list(range(mod.dim, mod.dim + len(kept_pos)))
+            mod.dim += len(ids)
+            place.extend(range(len(ids)))
+            for idx, pos in zip(ids, kept_pos):
                 i, parent = cands[pos]
-                idx = mod.dim
-                mod.dim += 1
                 mod.weights.append(mu)
-                mod.depths.append(tuple(
-                    d + (1 if j == i else 0) for j, d in enumerate(mod.depths[parent])
-                ))
-                creators[idx] = (i, parent)
-                ids.append(idx)
-                new_ids.append(idx)
-            # Expansion of every candidate over the kept basis of this weight:
-            # the kept Gram block is invertible, so one reduction of
-            # [kept block | dropped columns] solves for all dropped candidates.
-            combos = {pos: [(idx, Fraction(1))] for pos, idx in zip(kept_pos, ids)}
+                mod.depths.append(tuple(d + (j == i) for j, d in enumerate(mod.depths[parent])))
+                for k in range(n):
+                    d, x = raised[pos].get(k, (1, []))
+                    mod.raise_[k][idx] = [(t, _exact(Fraction(c, d))) for t, c in x] if d > 1 else x
+            # Every candidate over the kept basis: the kept Gram block is invertible, so
+            # one reduction of [kept block | dropped columns] solves for all dropped ones.
+            combos = {pos: [(idx, 1)] for pos, idx in zip(kept_pos, ids)}
             dropped = [pos for pos in range(m) if pos not in combos]
             if ids:
                 mod.gram[mu] = (ids, [[cg[a][b] for b in kept_pos] for a in kept_pos])
                 if dropped:
-                    columns = kept_pos + dropped
-                    red, _ = linalg.rref([[cg[a][b] for b in columns] for a in kept_pos])
+                    red, _ = linalg.rref([[cg[a][b] for b in kept_pos + dropped] for a in kept_pos])
                     for col, pos in enumerate(dropped, start=len(ids)):
-                        combos[pos] = [(idx, red[t][col]) for t, idx in enumerate(ids)
+                        combos[pos] = [(idx, _exact(red[t][col])) for t, idx in enumerate(ids)
                                        if red[t][col]]
             for pos, (i, parent) in enumerate(cands):
                 mod.lower[i][parent] = combos.get(pos, [])
-        # Raising action on the freshly kept vectors.
-        for idx in new_ids:
-            i, parent = creators[idx]
-            for k in range(n):
-                combo: dict = {}
-                for z, cz in mod.raise_[k].get(parent, ()):
-                    for t, ct in mod.lower[i].get(z, ()):
-                        combo[t] = combo.get(t, Fraction(0)) + cz * ct
-                if k == i:
-                    wpar = mod.weights[parent]
-                    combo[parent] = combo.get(parent, Fraction(0)) + Fraction(wpar[i])
-                mod.raise_[k][idx] = [(t, c) for t, c in sorted(combo.items()) if c]
-        prev_ids = new_ids
+        prev_ids = range(start, mod.dim)
     return mod

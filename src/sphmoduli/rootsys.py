@@ -273,8 +273,13 @@ def _connected_components(rs: RootSystem, subset: Iterable[int]) -> list[tuple]:
 
 
 def _match_labelings(rs: RootSystem, indices: tuple, template: list[list[int]]) -> list[tuple]:
-    """All bijections position -> index reproducing the template Cartan matrix."""
+    """All bijections position -> index reproducing the template Cartan matrix.
+    An isomorphism keeps degrees, so a slot is tried only at the positions
+    of its degree in the diagram.  Consecutive Bourbaki positions are mostly
+    joined, so a slot is checked against the latest assignments first."""
     k = len(indices)
+    degree = [sum(1 for j in indices if j != i and rs.cartan[i][j]) for i in indices]
+    template_degree = [sum(1 for q in range(k) if q != p and template[p][q]) for p in range(k)]
     found: list[tuple] = []
     assign: list[int] = []
     used = [False] * k
@@ -284,11 +289,11 @@ def _match_labelings(rs: RootSystem, indices: tuple, template: list[list[int]]) 
             found.append(tuple(assign))
             return
         for slot in range(k):
-            if used[slot]:
+            if used[slot] or degree[slot] != template_degree[pos]:
                 continue
             idx = indices[slot]
             ok = True
-            for q in range(pos):
+            for q in reversed(range(pos)):
                 if rs.cartan[idx][assign[q]] != template[pos][q] or \
                    rs.cartan[assign[q]][idx] != template[q][pos]:
                     ok = False

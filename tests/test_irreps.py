@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphmoduli import (
     DimensionBudgetExceeded,
@@ -11,6 +13,9 @@ from sphmoduli import (
     freudenthal_multiplicities,
     weyl_dimension,
 )
+from sphmoduli.irreps import _integral
+
+from irreps_reference import reference_irrep
 
 
 def test_a1_sym_square():
@@ -138,3 +143,65 @@ def test_nondominant_rejected():
     rs = build_root_system("A2")
     with pytest.raises(ValueError):
         build_irrep(rs, (1, -1))
+
+
+# Modules with multiplicities above 1 in ranks 2 to 6, for the pairwise
+# reference and the integrality checks.
+REFERENCE_CASES = [
+    ("G2", (1, 1)),
+    ("G2", (2, 1)),
+    ("B3", (1, 1, 0)),
+    ("C3", (0, 2, 0)),
+    ("D4", (1, 0, 1, 1)),
+    ("A2", (2, 3)),
+    ("B4", (1, 0, 0, 1)),
+    ("F4", (0, 0, 0, 1)),
+    ("E6", (1, 0, 0, 0, 0, 0)),
+]
+
+
+def _assert_matches_reference(rs, lam, dim_cap=5000):
+    mod = build_irrep(rs, lam, dim_cap=dim_cap)
+    ref = reference_irrep(rs, lam)
+    assert mod.dim == ref.dim
+    for attr in ("weights", "depths", "lower", "raise_", "gram"):
+        assert getattr(mod, attr) == getattr(ref, attr), attr
+
+
+@pytest.mark.parametrize("name,lam", REFERENCE_CASES)
+def test_build_matches_pairwise_reference(name, lam):
+    _assert_matches_reference(build_root_system(name), lam)
+
+
+@given(st.sampled_from(["A2", "B2", "G2"]),
+       st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@settings(max_examples=40, deadline=None)
+def test_build_matches_reference_on_random_weights(name, lam):
+    rs = build_root_system(name)
+    cap = 120
+    if weyl_dimension(rs, lam) > cap:
+        with pytest.raises(DimensionBudgetExceeded):
+            build_irrep(rs, lam, dim_cap=cap)
+    else:
+        _assert_matches_reference(rs, lam, dim_cap=cap)
+
+
+@pytest.mark.parametrize("name,lam", REFERENCE_CASES)
+def test_gram_entries_are_ints(name, lam):
+    # the form is integral on Chevalley monomials; operator coefficients
+    # are ints exactly when they are integral
+    mod = build_irrep(build_root_system(name), lam)
+    for _ids, mat in mod.gram.values():
+        assert all(type(x) is int for row in mat for x in row)
+    for table in mod.lower + mod.raise_:
+        for combo in table.values():
+            for _t, c in combo:
+                assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def test_integral_raises_on_a_remainder():
+    assert _integral(-6, 3) == -2 and type(_integral(-6, 3)) is int
+    assert _integral(5, 1) == 5
+    for num, den in ((7, 2), (-1, 3), (1, 4)):
+        with pytest.raises(ArithmeticError):
+            _integral(num, den)

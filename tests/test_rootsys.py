@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from sphmoduli import (
     positive_root_count,
     positive_roots,
 )
-from sphmoduli.rootsys import cartan_block
+from sphmoduli.rootsys import _connected_components, _match_labelings, cartan_block
+
+from rootsys_reference import reference_match_labelings
 
 
 def test_parse_a1():
@@ -199,3 +202,28 @@ def test_symmetrizer_relation():
         for i in range(rs.rank):
             for j in range(rs.rank):
                 assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+
+
+def _templates(rank):
+    """Bourbaki Cartan matrices of every simple type of this rank."""
+    types = "A" + "B" * (rank >= 2) + "C" * (rank >= 3) + "D" * (rank >= 4) \
+        + "E" * (rank in (6, 7, 8)) + "F" * (rank == 4) + "G" * (rank == 2)
+    return [(typ, cartan_block(typ, rank)) for typ in types]
+
+
+@pytest.mark.parametrize("name", ["A6", "B5", "C5", "D6", "E6", "E7", "E8", "F4", "G2"])
+def test_match_labelings_equal_unfiltered_reference(name):
+    # the degree filter prunes the search only: on every connected
+    # subdiagram and every template of its rank, the labelings are the
+    # unfiltered matcher's, and some template matches
+    rs = build_root_system(name)
+    for size in range(1, rs.rank + 1):
+        for subset in combinations(range(rs.rank), size):
+            if len(_connected_components(rs, subset)) != 1:
+                continue
+            matched = False
+            for typ, template in _templates(size):
+                got = _match_labelings(rs, subset, template)
+                assert got == reference_match_labelings(rs, subset, template), (subset, typ)
+                matched = matched or bool(got)
+            assert matched, subset

@@ -13,7 +13,12 @@ count and hash produced byte-identical reports.
 A second line digests the subset decisions themselves: `is_adapted_subset`
 (`ok`, `verdicts`, `colors`) and `is_n_adapted_subset` (`ok`, `witness`) on
 every catalog subset of size at most 3, for every independent basis (the
-empty one included) of the small grids in `DECISION_GRIDS`.  Stdlib only.
+empty one included) of the small grids in `DECISION_GRIDS`.
+
+A third line digests the irreducible modules of `MODULES`: `weights`,
+`depths`, `lower`, `raise_` and `gram`, with every coefficient written as
+`str(Fraction(c))`, so an int and an equal Fraction digest alike.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -50,6 +56,16 @@ DECISION_GRIDS = (
     ("A1", 6),
     ("A1xA1", 3), ("A2", 3), ("B2", 3), ("G2", 3),
     ("A3", 1), ("B3", 1), ("C3", 1), ("A2xA1", 1),
+)
+
+# (group, highest weight) of the module digest: weight multiplicities up to
+# 9, every simple type but E8, and a product.
+MODULES = (
+    ("A1", (6,)), ("A1xA1", (2, 3)), ("A2", (2, 3)), ("A3", (1, 0, 1)),
+    ("G2", (1, 1)), ("G2", (2, 1)), ("B3", (1, 1, 0)), ("B3", (1, 1, 1)),
+    ("C3", (0, 2, 0)), ("D4", (1, 0, 1, 1)), ("B4", (1, 0, 0, 1)),
+    ("F4", (0, 0, 0, 1)), ("F4", (1, 0, 0, 0)), ("E6", (1, 0, 0, 0, 0, 0)),
+    ("E7", (0, 0, 0, 0, 0, 0, 1)),
 )
 
 
@@ -90,6 +106,7 @@ def main(argv=None) -> int:
             count += 1
     print(f"reports {count} sha256 {digest.hexdigest()}")
     print(decision_digest())
+    print(module_digest())
     return 0
 
 
@@ -119,6 +136,25 @@ def decision_digest() -> str:
                 digest.update(b"\0")
                 count += 1
     return f"decisions {count} sha256 {digest.hexdigest()}"
+
+
+def module_digest() -> str:
+    """Count and sha256 of the module data on `MODULES`."""
+    import sphmoduli as sm
+
+    def table(combos: dict) -> list:
+        return [(key, [(t, str(Fraction(c))) for t, c in combos[key]]) for key in sorted(combos)]
+
+    digest = hashlib.sha256()
+    for group, lam in MODULES:
+        mod = sm.build_irrep(sm.build_root_system(group), lam)
+        gram = [(mu, ids, [[str(Fraction(x)) for x in row] for row in mat])
+                for mu, (ids, mat) in sorted(mod.gram.items())]
+        record = (group, lam, mod.weights, mod.depths, [table(t) for t in mod.lower],
+                  [table(t) for t in mod.raise_], gram)
+        digest.update(repr(record).encode())
+        digest.update(b"\0")
+    return f"modules {len(MODULES)} sha256 {digest.hexdigest()}"
 
 
 if __name__ == "__main__":
