@@ -88,18 +88,26 @@ def _singleton(ctx: WeightMonoidContext, root: SphericalRoot, strict: bool) -> S
             return SingletonVerdict(root, False, COND_COLOR_CONE)
         if any(c > 1 for c in coeffs):
             return SingletonVerdict(root, False, COND_DUAL_BOUND)
+    failed = _member_condition(ctx, root, strict)
+    return SingletonVerdict(root, failed is None, failed)
+
+
+def _member_condition(ctx: WeightMonoidContext, root: SphericalRoot, strict: bool) -> Optional[str]:
+    """The lattice condition a doubled or pair root fails, or None.  For
+    2a_i, a_i must lie outside the lattice (not asked when `strict`) and the
+    coroot of a_i must be even on F; for a_i + a_j, the two coroots must
+    agree on F."""
     if root.kind == KIND_DOUBLE:
         i = root.simple_index
-        half = tuple(1 if j == i else 0 for j in range(ctx.n))
-        if not strict and ctx.in_lattice_root(half) is not None:
-            return SingletonVerdict(root, False, COND_HALF_LATTICE)
+        if not strict and ctx.in_lattice_root(_half(root).coords) is not None:
+            return COND_HALF_LATTICE
         if any(w[i] % 2 for w in ctx.basis):
-            return SingletonVerdict(root, False, COND_PARITY)
+            return COND_PARITY
     if root.kind == KIND_PAIR:
         i, j = sorted(root.support)
         if any(w[i] != w[j] for w in ctx.basis):
-            return SingletonVerdict(root, False, COND_COROOT_MATCH)
-    return SingletonVerdict(root, True, None)
+            return COND_COROOT_MATCH
+    return None
 
 
 def is_adapted_singleton(ctx: WeightMonoidContext, root: SphericalRoot) -> SingletonVerdict:
@@ -310,15 +318,8 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     # (see `color_functionals`), so only sigma1 and sigma2 can fail here.
     v["sigma1"] = v["sigma2"] = True
     for r in sigma:
-        if r.kind == KIND_DOUBLE:
-            i = r.simple_index
-            half = tuple(1 if j == i else 0 for j in range(ctx.n))
-            if ctx.in_lattice_root(half) is not None or any(w[i] % 2 for w in ctx.basis):
-                v["sigma1"] = False
-        if r.kind == KIND_PAIR:
-            i, j = sorted(r.support)
-            if any(w[i] != w[j] for w in ctx.basis):
-                v["sigma2"] = False
+        if _member_condition(ctx, r, strict=False):
+            v["sigma1" if r.kind == KIND_DOUBLE else "sigma2"] = False
 
     # Full color set.
     colors = [ColorData("a", b, ctx.tokens[names[b[0]]]) for b in part]
@@ -376,7 +377,6 @@ def _b_color_classes(rs: RootSystem, sigma: Sequence[SphericalRoot], nodes: list
 class NAdaptedVerdict:
     ok: bool
     witness: Optional[tuple] = None     # the adapted set it contracts from
-    check: Optional[SphericalSystemCheck] = None
 
     def __bool__(self):
         return self.ok
@@ -384,26 +384,20 @@ class NAdaptedVerdict:
 
 def is_n_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) -> NAdaptedVerdict:
     """A set is N-adapted when some adapted set maps onto it by doubling
-    exactly its simple members with a single color functional."""
+    exactly its simple members with a single color functional.  No member
+    maps to such a simple root, so a set holding one is not N-adapted; and
+    only a doubled member 2a_i whose a_i has a single color functional can
+    come from its half.  Each such choice of halves maps onto the set."""
     sigma = tuple(sorted({r.coords: r for r in sigma}.values(), key=lambda r: r.coords))
-    doubled = [r for r in sigma if r.kind == KIND_DOUBLE]
-    for choice in product((False, True), repeat=len(doubled)):
-        halved = {r.coords for r, c in zip(doubled, choice) if c}
-        candidate = [
-            _half(r) if r.coords in halved else r
-            for r in sigma
-        ]
-        check = is_adapted_subset(ctx, candidate)
-        if not check.ok:
-            continue
-        image = set()
-        for r in candidate:
-            if r.kind == KIND_SIMPLE and len(ctx.color_functionals(r.simple_index)) == 1:
-                image.add(tuple(2 * c for c in r.coords))
-            else:
-                image.add(r.coords)
-        if image == {r.coords for r in sigma}:
-            return NAdaptedVerdict(True, tuple(candidate), check)
+    one_color = [len(colors or ()) == 1 for colors in ctx.colors]
+    if any(r.kind == KIND_SIMPLE and one_color[r.simple_index] for r in sigma):
+        return NAdaptedVerdict(False)
+    halvable = [r for r in sigma if r.kind == KIND_DOUBLE and one_color[r.simple_index]]
+    for choice in product((False, True), repeat=len(halvable)):
+        halved = {r.coords for r, c in zip(halvable, choice) if c}
+        candidate = [_half(r) if r.coords in halved else r for r in sigma]
+        if is_adapted_subset(ctx, candidate).ok:
+            return NAdaptedVerdict(True, tuple(candidate))
     return NAdaptedVerdict(False)
 
 

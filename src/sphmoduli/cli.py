@@ -86,11 +86,12 @@ def analyze(args) -> tuple:
         "e_gamma": [[_frac_str(v) for v in f.values] for f in ctx.dual_basis],
     }
 
-    catalog = spherical_root_catalog(rs)
+    # Strict singleton verdicts: every catalog root not rejected is a weight.
+    tangent = adapted.tangent_space(ctx)
+    strict_failed = {r.coords: tag for r, tag in tangent.rejected}
     cat_entries = []
-    for root in catalog:
+    for root in spherical_root_catalog(rs):
         a = adapted.is_adapted_singleton(ctx, root)
-        nv = adapted.is_n_adapted_singleton(ctx, root)
         cat_entries.append({
             "coords": list(root.coords),
             "name": root.name(),
@@ -98,12 +99,10 @@ def analyze(args) -> tuple:
             "support": [i + 1 for i in sorted(root.support)],
             "adapted": a.ok,
             "adapted_failed": a.failed,
-            "n_adapted": nv.ok,
-            "n_adapted_failed": nv.failed,
+            "n_adapted": root.coords not in strict_failed,
+            "n_adapted_failed": strict_failed.get(root.coords),
         })
     report["catalog"] = cat_entries
-
-    tangent = adapted.tangent_space(ctx)
     report["tangent"] = {
         "dimension": tangent.dimension,
         "weights": [w.name() for w in tangent.weights],

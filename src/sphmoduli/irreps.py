@@ -218,6 +218,9 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
             kept_pos = [p for p, row in enumerate(cg) if echelon.add(row)]
             ids = list(range(mod.dim, mod.dim + len(kept_pos)))
             mod.dim += len(ids)
+            if mod.dim > expected:
+                raise ArithmeticError(
+                    f"module of highest weight {lam} outgrew its Weyl dimension {expected}")
             place.extend(range(len(ids)))
             for idx, pos in zip(ids, kept_pos):
                 i, parent = cands[pos]

@@ -106,6 +106,14 @@ class RootSystem:
     # root vector -> its weight; outside equality, hashing and repr
     _weights: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
+    # column j of the Cartan matrix as its nonzero (i, entry) pairs: a_j and
+    # its Dynkin neighbours
+    _columns: tuple = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_columns", tuple(
+            tuple((i, row[j]) for i, row in enumerate(self.cartan) if row[j])
+            for j in range(len(self.cartan))))
 
     @property
     def rank(self) -> int:
@@ -116,12 +124,16 @@ class RootSystem:
         return self.root_to_weight(v)[i]
 
     def root_to_weight(self, v: RootVector) -> Weight:
-        """Fundamental coordinates of an element of the root lattice,
-        memoised on the instance."""
+        """Fundamental coordinates of an element of the root lattice, summed
+        over its nonzero coordinates and memoised on the instance."""
         w = self._weights.get(v)
         if w is None:
-            w = self._weights[v] = tuple(
-                sum(c * x for c, x in zip(row, v)) for row in self.cartan)
+            out = [0] * len(v)
+            for j, c in enumerate(v):
+                if c:
+                    for i, a in self._columns[j]:
+                        out[i] += a * c
+            w = self._weights[v] = tuple(out)
         return w
 
     def weight_to_root(self, w: Weight) -> tuple:

@@ -109,14 +109,15 @@ class WeightMonoidContext:
         # coroot to F, half_coroots[i] the color of a doubled root 2a_i.
         self.coroots = tuple(Functional(tuple(w[i] for w in self.basis)) for i in range(self.n))
         self.half_coroots = tuple(f.scaled(Fraction(1, 2)) for f in self.coroots)
-        self._colors = tuple(self._color_functionals(i) for i in range(self.n))
+        # colors[i] is the tuple of color functionals of a_i, None off the lattice.
+        self.colors = tuple(self._color_functionals(i) for i in range(self.n))
         # A simple member a_i of a root set carries two color tokens: (i, "+")
         # with the first and (i, "-") with the last of its color functionals.
         # Tokens share a class exactly when their functionals are equal.
         self.tokens: dict = {}          # (i, sign) -> functional
         self.token_classes: dict = {}   # (i, sign) -> class
         classes: dict = {}
-        for i, colors in enumerate(self._colors):
+        for i, colors in enumerate(self.colors):
             if colors:
                 for sign, f in (("+", colors[0]), ("-", colors[-1])):
                     self.tokens[i, sign] = f
@@ -155,7 +156,7 @@ class WeightMonoidContext:
         """The functionals taking value 1 on the i-th simple root that are a
         dual-basis element or the coroot minus one.  These are the candidate
         color pairings attached to a simple spherical root."""
-        colors = self._colors[i]
+        colors = self.colors[i]
         if colors is None:
             raise LatticeMembershipError(
                 f"simple root #{i} does not lie in the lattice generated by F"

@@ -3,9 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adapted_reference import reference_n_adapted_subset
 from conftest import catalog_by_name
 from sphmoduli import (
+    adapted,
     LatticeMembershipError,
     build_context,
     build_root_system,
@@ -388,3 +392,74 @@ def test_context_tables_match_fresh_contexts(name):
             fresh = is_n_adapted_subset(fresh_ctx, sigma)
             assert (shared.ok, shared.witness) == (fresh.ok, fresh.witness), (ctx, sigma)
         _check_tables(ctx)
+
+
+# -- the halving choice against the exhaustive reference ---------------------
+
+
+def _decision_contexts(name):
+    """The crossed lines, A1xA1xA1 with F = (2w1, 2w2, 2w3), or the empty
+    basis and every independent basis with coordinates up to max_coord."""
+    if name == "crossed lines":
+        return [build_context(build_root_system("A1xA1"), [(2, 0), (4, 2)])]
+    if name == "A1xA1xA1 2w":
+        return [build_context(build_root_system("A1xA1xA1"), [(2, 0, 0), (0, 2, 0), (0, 0, 2)])]
+    group, max_coord = name.split(":")
+    rs = build_root_system(group)
+    return [build_context(rs, [])] + _grid_contexts(group, int(max_coord), rs.rank)
+
+
+def _assert_matches_reference(ctx, max_size=3):
+    from itertools import combinations
+    catalog = spherical_root_catalog(ctx.rs)
+    for size in range(max_size + 1):
+        for sigma in combinations(catalog, size):
+            got = is_n_adapted_subset(ctx, sigma)
+            want = reference_n_adapted_subset(ctx, sigma)
+            assert (got.ok, got.witness) == (want.ok, want.witness), (ctx, sigma)
+
+
+@pytest.mark.parametrize("name", [
+    "crossed lines", "A1:6", "A1xA1:2", "A2:2", "B2:2", "G2:2", "A1xA1xA1 2w",
+])
+def test_n_adapted_subset_matches_reference(name):
+    # every catalog subset of size <= 3, dependent ones included
+    for ctx in _decision_contexts(name):
+        _assert_matches_reference(ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A1xA1", "A2", "B2", "G2"]),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any),
+                min_size=1, max_size=2, unique=True))
+def test_n_adapted_subset_matches_reference_on_random_bases(group, basis):
+    try:
+        ctx = build_context(build_root_system(group), basis)
+    except ValueError:
+        return
+    _assert_matches_reference(ctx)
+
+
+def test_single_color_simple_member_needs_no_adapted_check(monkeypatch):
+    # with F = 2w_i each a_i has the single color functional e_i, so no
+    # member of a candidate maps to a_i and the set is rejected outright
+    ctx = build_context(build_root_system("A1xA1xA1"), [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    assert [len(c) for c in ctx.colors] == [1, 1, 1]
+    cat = catalog_by_name(ctx.rs)
+    calls = []
+    original = adapted.is_adapted_subset
+    monkeypatch.setattr(adapted, "is_adapted_subset",
+                        lambda ctx, sigma: calls.append(sigma) or original(ctx, sigma))
+    for sigma in ([cat["a1"]], [cat["a1"], cat["2*a2"]]):
+        assert is_n_adapted_subset(ctx, sigma) == adapted.NAdaptedVerdict(False)
+    assert calls == []
+    assert is_n_adapted_subset(ctx, [cat["2*a1"]]).ok
+    assert len(calls) == 2
+
+
+def test_all_doubled_members_halved_witness():
+    ctx = build_context(build_root_system("A1xA1xA1"), [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    cat = catalog_by_name(ctx.rs)
+    verdict = is_n_adapted_subset(ctx, [cat["2*a1"], cat["2*a2"], cat["2*a3"]])
+    assert verdict.ok
+    assert [r.name() for r in verdict.witness] == ["a3", "a2", "a1"]

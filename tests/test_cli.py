@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sphmoduli import adapted, cli
+from sphmoduli import adapted, build_context, build_root_system, cli, spherical_root_catalog
 
 
 def run_cli(capsys, *argv):
@@ -129,3 +129,25 @@ def test_budget_exhaustion_keeps_partial_subsets(capsys, monkeypatch):
     assert "more than 3" in report["subsets_error"]
     assert report["subsets"]
     assert all(set(s) == {"roots", "coords", "size", "maximal"} for s in report["subsets"])
+
+
+@pytest.mark.parametrize("group,weights", [
+    ("A1xA1", [[2, 0], [4, 2]]),            # the crossed lines
+    ("A1", [[2]]),
+    ("A3", [[2, 0, 1], [1, 1, 0], [0, 1, 1]]),   # two simple roots share a color
+    ("B2", [[2, 0], [1, 2]]),
+])
+def test_catalog_strict_verdicts_come_from_tangent_space(capsys, group, weights):
+    # the report evaluates the strict singleton test once per root, in
+    # tangent_space; each catalog entry must still carry its own verdict
+    status, out = run_cli(capsys, "analyze", "--group", group,
+                          "--weights", json.dumps(weights), "--json")
+    assert status == 0
+    report = json.loads(out)
+    ctx = build_context(build_root_system(group), [tuple(w) for w in weights])
+    roots = {r.coords: r for r in spherical_root_catalog(ctx.rs)}
+    assert len(report["catalog"]) == len(roots)
+    for entry in report["catalog"]:
+        verdict = adapted.is_n_adapted_singleton(ctx, roots[tuple(entry["coords"])])
+        assert (entry["n_adapted"], entry["n_adapted_failed"]) == (verdict.ok, verdict.failed)
+    assert report["tangent"]["coords"] == [e["coords"] for e in report["catalog"] if e["n_adapted"]]

@@ -205,3 +205,14 @@ def test_integral_raises_on_a_remainder():
     for num, den in ((7, 2), (-1, 3), (1, 4)):
         with pytest.raises(ArithmeticError):
             _integral(num, den)
+
+
+def test_build_stops_when_module_outgrows_weyl_dimension(monkeypatch):
+    # a build that makes more vectors than Weyl's formula allows has a wrong
+    # Gram matrix somewhere; it must fail, not keep growing the module
+    from sphmoduli import irreps
+    rs = build_root_system("G2")
+    true_dim = weyl_dimension(rs, (1, 1))
+    monkeypatch.setattr(irreps, "weyl_dimension", lambda rs, lam: true_dim - 1)
+    with pytest.raises(ArithmeticError, match="Weyl dimension"):
+        build_irrep(rs, (1, 1))

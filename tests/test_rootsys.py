@@ -227,3 +227,16 @@ def test_match_labelings_equal_unfiltered_reference(name):
                 assert got == reference_match_labelings(rs, subset, template), (subset, typ)
                 matched = matched or bool(got)
             assert matched, subset
+
+
+@pytest.mark.parametrize("name", ["A7", "B5", "C5", "D6", "E8", "F4", "G2", "B3xG2xA1"])
+def test_root_to_weight_is_cartan_product(name):
+    # the sparse sum over a root's support against the dense Cartan product,
+    # on every positive and negative root and a few other lattice vectors
+    rs, fresh = build_root_system(name), build_root_system(name)
+    vectors = list(positive_roots(rs)) + [tuple(-c for c in b) for b in positive_roots(rs)]
+    vectors += [tuple(range(rs.rank)), tuple((-1) ** i * i for i in range(rs.rank))]
+    for v in vectors:
+        dense = tuple(sum(a * c for a, c in zip(row, v)) for row in rs.cartan)
+        assert rs.root_to_weight(v) == dense, v
+        assert fresh.root_to_weight(v) == dense, v
