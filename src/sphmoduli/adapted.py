@@ -385,19 +385,19 @@ class NAdaptedVerdict:
 def is_n_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) -> NAdaptedVerdict:
     """A set is N-adapted when some adapted set maps onto it by doubling
     exactly its simple members with a single color functional.  No member
-    maps to such a simple root, so a set holding one is not N-adapted; and
-    only a doubled member 2a_i whose a_i has a single color functional can
-    come from its half.  Each such choice of halves maps onto the set."""
+    maps to such a simple root, so a set holding one is not N-adapted.  A
+    doubled member 2a_i whose a_i has a single color functional has a_i in
+    the lattice, so no adapted set holds 2a_i itself (sigma1) and it can
+    only come from its half.  So the one candidate halves every such member
+    and keeps the rest; it maps onto the set."""
     sigma = tuple(sorted({r.coords: r for r in sigma}.values(), key=lambda r: r.coords))
     one_color = [len(colors or ()) == 1 for colors in ctx.colors]
     if any(r.kind == KIND_SIMPLE and one_color[r.simple_index] for r in sigma):
         return NAdaptedVerdict(False)
-    halvable = [r for r in sigma if r.kind == KIND_DOUBLE and one_color[r.simple_index]]
-    for choice in product((False, True), repeat=len(halvable)):
-        halved = {r.coords for r, c in zip(halvable, choice) if c}
-        candidate = [_half(r) if r.coords in halved else r for r in sigma]
-        if is_adapted_subset(ctx, candidate).ok:
-            return NAdaptedVerdict(True, tuple(candidate))
+    candidate = tuple(_half(r) if r.kind == KIND_DOUBLE and one_color[r.simple_index] else r
+                      for r in sigma)
+    if is_adapted_subset(ctx, candidate).ok:
+        return NAdaptedVerdict(True, candidate)
     return NAdaptedVerdict(False)
 
 

@@ -1,171 +1,49 @@
-"""Integer structure constants for the simple Lie algebra of a root system.
+"""The bracket decomposition of the positive roots of a simple Lie algebra.
 
-Basis: one operator per root plus the simple coroots, normalized so that
-bracketing a root operator with its opposite gives the coroot.  Signs are
-fixed by choosing the constant +(p+1) on the pair (eps, gamma - eps) with
-eps minimal in a fixed root order; the remaining constants follow from the
-cyclic and four-term identities among the constants.
+This is all the representation route reads of the algebra.  Every
+non-simple positive root gamma is a_i + delta for a simple root a_i and a
+positive root delta; the decomposition takes the largest such i.  In a
+Chevalley basis, normalized so that bracketing a root operator with its
+opposite gives the coroot, the constant on (a_i, delta) is fixed to
++N = +(p+1), with p the length of the a_i-string below delta, and the
+constant on (-a_i, -delta) is then -N.  So the operator of +-gamma is the
+bracket of the operators of +-a_i and +-delta divided by +-N, and these
+choices fix every root operator.  The full table of constants stays in
+`tests/chevalley_reference.py` as the reference.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
-from .rootsys import RootSystem, positive_roots
-
-
-def _neg(v: tuple) -> tuple:
-    return tuple(-c for c in v)
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _string_p(root_set: set, a: tuple, b: tuple) -> int:
-    """Largest k >= 0 with b - k*a in `root_set`."""
-    p = 0
-    cur = _sub(b, a)
-    while cur in root_set:
-        p += 1
-        cur = _sub(cur, a)
-    return p
+from .rootsys import RootSystem, neg, positive_roots, sub
 
 
 class ChevalleyAlgebra:
-    """Frozen bracket table; see build_chevalley."""
+    """Positive roots, all roots, and the bracket decomposition
+    gamma -> (a_i, delta, N); see build_chevalley."""
 
-    def __init__(self, rs: RootSystem, pos_roots: tuple, constants: dict, decomposition: dict):
-        self.rs = rs
+    def __init__(self, pos_roots: tuple, decomposition: dict):
         self.pos_roots = pos_roots          # ordered by (height, coords)
-        self.constants = constants          # (signed root, signed root) -> int
-        self.decomposition = decomposition  # non-simple positive gamma -> (eps, delta)
-        self.root_set = set(pos_roots) | {_neg(r) for r in pos_roots}
-
-    def is_root(self, v: tuple) -> bool:
-        return v in self.root_set
-
-    def string_p(self, a: tuple, b: tuple) -> int:
-        """Largest k >= 0 with b - k*a a root."""
-        return _string_p(self.root_set, a, b)
-
-    def constant(self, a: tuple, b: tuple) -> int:
-        return self.constants.get((a, b), 0)
-
-    def coroot_coefficients(self, a: tuple) -> tuple:
-        """Coefficients of a^v on the simple coroots."""
-        rs = self.rs
-        norm = rs.root_norm2(a)
-        return tuple(
-            Fraction(2 * rs.symmetrizer[j] * a[j]) / norm for j in range(rs.rank)
-        )
-
-    def bracket(self, x: dict, y: dict) -> dict:
-        """Bracket of algebra elements given as {key: coeff} over the basis
-        keys ('x', root) and ('h', i)."""
-        out: dict = {}
-
-        def put(key, coeff):
-            if coeff:
-                out[key] = out.get(key, Fraction(0)) + coeff
-                if out[key] == 0:
-                    del out[key]
-
-        for (k1, c1) in x.items():
-            for (k2, c2) in y.items():
-                c = c1 * c2
-                if k1[0] == "h" and k2[0] == "h":
-                    continue
-                if k1[0] == "h" and k2[0] == "x":
-                    put(("x", k2[1]), c * self.rs.pairing(k1[1], k2[1]))
-                elif k1[0] == "x" and k2[0] == "h":
-                    put(("x", k1[1]), -c * self.rs.pairing(k2[1], k1[1]))
-                else:
-                    a, b = k1[1], k2[1]
-                    s = _add(a, b)
-                    if all(v == 0 for v in s):
-                        for j, hc in enumerate(self.coroot_coefficients(a)):
-                            put(("h", j), c * hc)
-                    elif self.is_root(s):
-                        put(("x", s), c * self.constant(a, b))
-        return out
+        self.root_set = set(pos_roots) | {neg(r) for r in pos_roots}
+        self.decomposition = decomposition  # non-simple positive gamma -> (a_i, delta, N)
 
 
-@lru_cache(maxsize=None)
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
-    pos = list(positive_roots(rs))
-    order = {r: k for k, r in enumerate(pos)}
+    pos = positive_roots(rs)
     pos_set = set(pos)
-    neg = {r: _neg(r) for r in pos}     # one tuple per negative root, shared by the tables
-    all_roots = pos_set | set(neg.values())
-
-    norms: dict = {}   # root -> (root, root); -v has the norm of v
-    for r in pos:
-        norms[r] = norms[neg[r]] = rs.root_norm2(r)
-
-    constants: dict = {}
     decomposition: dict = {}
-
-    def n_mixed(a: tuple, bneg: tuple) -> Fraction:
-        """Constant on the pair (a, -b) with a, b positive and a-b a root,
-        expressed through constants on positive pairs."""
-        b = _neg(bneg)
-        c = _sub(a, b)
-        if c in pos_set:
-            return -Fraction(norms[c], norms[a]) * constants[(b, c)]
-        cbar = _neg(c)
-        return Fraction(norms[c], norms[b]) * constants[(cbar, a)]
-
     for gamma in pos:
         if sum(gamma) < 2:
             continue
-        specials = sorted(
-            (
-                (b1, _sub(gamma, b1))
-                for b1 in pos
-                if _sub(gamma, b1) in pos_set and order[b1] < order[_sub(gamma, b1)]
-            ),
-            key=lambda pair: order[pair[0]],
-        )
-        eps, delta = specials[0]
-        decomposition[gamma] = (eps, delta)
-        n0 = _string_p(all_roots, eps, delta) + 1
-        constants[(eps, delta)] = n0
-        constants[(delta, eps)] = -n0
-        for xi, eta in specials[1:]:
-            total = Fraction(0)
-            d1 = _sub(eta, eps)           # equals delta - xi
-            if d1 in all_roots:
-                total += n_mixed(delta, _neg(xi)) * n_mixed(eps, _neg(eta)) / norms[d1]
-            d2 = _sub(xi, eps)
-            if d2 in all_roots:
-                total += (-n_mixed(eps, _neg(xi))) * n_mixed(delta, _neg(eta)) / norms[d2]
-            val = Fraction(norms[gamma]) * total / n0
-            if val.denominator != 1 or val == 0:
-                raise RuntimeError(f"inconsistent constant for pair {xi}+{eta}")
-            constants[(xi, eta)] = int(val)
-            constants[(eta, xi)] = -int(val)
-
-    full: dict = {}
-    for (a, b), v in constants.items():
-        full[(a, b)] = v
-        full[(neg[a], neg[b])] = -v
-    for a in pos:
-        for b in pos:
-            if a != b and _sub(a, b) in all_roots:
-                v = n_mixed(a, neg[b])
-                if v.denominator != 1:
-                    raise RuntimeError(f"non-integer constant on ({a}, -{b})")
-                full[(a, neg[b])] = int(v)
-                full[(neg[b], a)] = -int(v)
-    return ChevalleyAlgebra(
-        rs=rs,
-        pos_roots=tuple(pos),
-        constants=full,
-        decomposition=decomposition,
-    )
+        # 2a_i is never a root, so delta and its a_i-string below stay positive
+        for i in reversed(range(rs.rank)):
+            alpha = tuple(int(j == i) for j in range(rs.rank))
+            delta = sub(gamma, alpha)
+            if delta in pos_set:
+                break
+        n = 1
+        below = sub(delta, alpha)
+        while below in pos_set:
+            n += 1
+            below = sub(below, alpha)
+        decomposition[gamma] = (alpha, delta, n)
+    return ChevalleyAlgebra(pos, decomposition)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra, _neg
-from .rootsys import RootSystem, Weight, is_dominant, positive_roots
+from .chevalley import ChevalleyAlgebra
+from .rootsys import RootSystem, Weight, is_dominant, neg, positive_roots
 
 
 class DimensionBudgetExceeded(RuntimeError):
@@ -112,7 +112,7 @@ class IrrepModule:
         for i in range(rs.rank):
             unit = tuple(1 if j == i else 0 for j in range(rs.rank))
             self._columns[unit] = self.raise_[i]
-            self._columns[_neg(unit)] = self.lower[i]
+            self._columns[neg(unit)] = self.lower[i]
 
     def ids_of_weight(self, w) -> list:
         entry = self.gram.get(tuple(w))
@@ -127,18 +127,19 @@ class IrrepModule:
     def column(self, alg: ChevalleyAlgebra, root: tuple, idx: int):
         """Image [(id, coeff)] of basis vector `idx` under the operator of a
         root.  A non-simple root's column is built on first request, from
-        the fixed bracket decomposition gamma = eps + delta, as
-        X_gamma = (X_eps X_delta - X_delta X_eps) / N, and kept."""
+        the bracket decomposition gamma = a_i + delta with constant N, as
+        X_gamma = (X_ai X_delta - X_delta X_ai) / N, and X_-gamma likewise
+        from -a_i and -delta with constant -N; it is kept."""
         cols = self._columns.setdefault(root, {})
         col = cols.get(idx)
         if col is None:
             height = sum(root)
             if abs(height) == 1:
                 return ()   # a simple table lists all its nonzero columns
-            eps, delta = alg.decomposition[root if height > 0 else _neg(root)]
+            eps, delta, n = alg.decomposition[root if height > 0 else neg(root)]
             if height < 0:
-                eps, delta = _neg(eps), _neg(delta)
-            inv = Fraction(1, alg.constant(eps, delta))
+                eps, delta, n = neg(eps), neg(delta), -n
+            inv = Fraction(1, n)
             image = self.apply_root(alg, eps, dict(self.column(alg, delta, idx)))
             for jdx, c in self.apply_root(alg, delta, dict(self.column(alg, eps, idx))).items():
                 image[jdx] = image.get(jdx, Fraction(0)) - c

@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra, _neg, _sub, build_chevalley
+from .chevalley import ChevalleyAlgebra, build_chevalley
 from .irreps import build_irrep
-from .rootsys import positive_roots
+from .rootsys import neg, positive_roots, sub
 from .wmonoid import WeightMonoidContext
 
 
@@ -66,7 +66,7 @@ def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
     for beta in positive_roots(ctx.rs):
         if beta in f_perp:
             continue
-        model.gx0_vectors[("low", beta)] = model.apply_root(_neg(beta), x0)
+        model.gx0_vectors[("low", beta)] = model.apply_root(neg(beta), x0)
     return model
 
 
@@ -116,14 +116,14 @@ def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
     # Required operators: all simple raisings, and the lowerings of simple
     # roots orthogonal to every basis weight.
     simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
-    ops = simple + [_neg(simple[i]) for i in sorted(ctx.sp_gamma)]
+    ops = simple + [neg(simple[i]) for i in sorted(ctx.sp_gamma)]
 
     # Unknowns: the m coordinates, then one coefficient per allowed g.x0
     # vector of each operator.  One equation per (operator, touched coordinate).
     equations = []
     cols = m
     for root in ops:
-        shifted = _sub(gamma, root)
+        shifted = sub(gamma, root)
         allowed = _gx0_piece(model, shifted) if (
             all(c == 0 for c in shifted) or shifted in model.alg.root_set
         ) else []

@@ -146,23 +146,6 @@ class RootSystem:
              for i in range(self.rank)]
         return tuple(linalg.solve_unique(a, list(w)))
 
-    def root_norm2(self, v: RootVector) -> Fraction:
-        """(v, v) with the normalization (a_i, a_j) = d_i * <a_i^v, a_j>."""
-        d = self.symmetrizer
-        total = Fraction(0)
-        for i in range(self.rank):
-            if v[i]:
-                for j in range(self.rank):
-                    if v[j]:
-                        total += Fraction(v[i] * v[j] * d[i] * self.cartan[i][j])
-        return total
-
-    def coroot_weight_pairing(self, beta: RootVector, w: Weight) -> Fraction:
-        """<w, beta^v> for a root beta and a weight w, exact rational."""
-        d = self.symmetrizer
-        num = sum(Fraction(d[j] * beta[j] * w[j]) for j in range(self.rank))
-        return 2 * num / self.root_norm2(beta)
-
 
 def build_root_system(type_string: str) -> RootSystem:
     """Parse strings like "A1xA1" or "B3 G2" into a RootSystem."""
@@ -193,6 +176,14 @@ def build_root_system(type_string: str) -> RootSystem:
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizer=tuple(symm),
     )
+
+
+def neg(v: RootVector) -> RootVector:
+    return tuple(-c for c in v)
+
+
+def sub(a: RootVector, b: RootVector) -> RootVector:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def support(v: RootVector) -> frozenset:

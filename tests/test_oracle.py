@@ -17,7 +17,7 @@ from sphmoduli import (
     tangent_space,
 )
 from sphmoduli import linalg
-from sphmoduli.chevalley import _neg
+from sphmoduli.rootsys import neg
 from sphmoduli.wmonoid import DependentBasis
 
 
@@ -83,7 +83,7 @@ def test_base_point_orbit_basis(crossed_lines, crossed_lines_model):
     )
     assert len(basis) == expected
     for beta in positive_roots(crossed_lines.rs):
-        for signed in (beta, _neg(beta)):
+        for signed in (beta, neg(beta)):
             img = model.apply_root(signed, model.x0)
             assert not linalg.Echelon(rows).add(dense(img))
     for i in range(crossed_lines.rs.rank):

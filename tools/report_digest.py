@@ -17,8 +17,12 @@ empty one included) of the small grids in `DECISION_GRIDS`.
 
 A third line digests the irreducible modules of `MODULES`: `weights`,
 `depths`, `lower`, `raise_` and `gram`, with every coefficient written as
-`str(Fraction(c))`, so an int and an equal Fraction digest alike.  Stdlib
-only.
+`str(Fraction(c))`, so an int and an equal Fraction digest alike.
+
+A fourth line digests the root operators on the same modules: the column
+`mod.column(alg, root, idx)` for every root and every basis vector, the
+non-simple ones built from the bracket decomposition, written the same way.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -107,6 +111,7 @@ def main(argv=None) -> int:
     print(f"reports {count} sha256 {digest.hexdigest()}")
     print(decision_digest())
     print(module_digest())
+    print(column_digest())
     return 0
 
 
@@ -155,6 +160,25 @@ def module_digest() -> str:
         digest.update(repr(record).encode())
         digest.update(b"\0")
     return f"modules {len(MODULES)} sha256 {digest.hexdigest()}"
+
+
+def column_digest() -> str:
+    """Count and sha256 of the root-operator columns on `MODULES`."""
+    import sphmoduli as sm
+
+    digest = hashlib.sha256()
+    count = 0
+    for group, lam in MODULES:
+        rs = sm.build_root_system(group)
+        alg = sm.build_chevalley(rs)
+        mod = sm.build_irrep(rs, lam)
+        for root in sorted(alg.root_set):
+            for idx in range(mod.dim):
+                col = [(t, str(Fraction(c))) for t, c in mod.column(alg, root, idx)]
+                digest.update(repr((group, lam, root, idx, col)).encode())
+                digest.update(b"\0")
+                count += 1
+    return f"columns {count} sha256 {digest.hexdigest()}"
 
 
 if __name__ == "__main__":
