@@ -49,7 +49,6 @@ from .rootsys import (
 from .sphroots import SphericalRoot, compatible_with_sp, spherical_root_catalog
 from .wmonoid import (
     DependentBasis,
-    Functional,
     LatticeMembershipError,
     NonDominantWeight,
     WeightMonoidContext,
@@ -63,7 +62,6 @@ __all__ = [
     "ChevalleyAlgebra",
     "DependentBasis",
     "DimensionBudgetExceeded",
-    "Functional",
     "IrrepModule",
     "LatticeMembershipError",
     "NAdaptedVerdict",

@@ -2,13 +2,15 @@
 
 Singleton tests evaluate an explicit list of lattice and dual-cone
 conditions.  Subset tests assemble the unique candidate system (parabolic
-set, root set, colors with their pairings) and verify its axioms together
-with the two dual-cone conditions; the abstract color set is searched over
-all identifications consistent with equal pairings.
+set, root set, the a-colors with their pairings) and verify its axioms
+together with the two dual-cone conditions; the a-colors are searched over
+all identifications consistent with equal pairings.  The other colors are
+not built: the dual-cone conditions read only the coroots that they are
+halves or restrictions of.
 
 The subset decision runs thousands of times per context in a walk.  It
-reads the data of each simple root (color tokens, their classes, dual-cone
-data) from attributes the context computes when it is built, and what is
+reads the data of each simple root (color tokens and their dual-cone data)
+from attributes the context computes when it is built, and what is
 keyed by roots (lattice coefficients, token values, Cartan pairings) from
 the memos of the context and its root system; see `wmonoid` and `rootsys`.
 """
@@ -29,7 +31,7 @@ from .sphroots import (
     compatible_with_sp,
     spherical_root_catalog,
 )
-from .wmonoid import Functional, WeightMonoidContext
+from .wmonoid import WeightMonoidContext
 
 # Failing-condition tags for singleton verdicts, in evaluation order.
 COND_LATTICE = "not_in_lattice"
@@ -84,7 +86,7 @@ def _singleton(ctx: WeightMonoidContext, root: SphericalRoot, strict: bool) -> S
         wanted = (2,) if strict else (1, 2)
         if len(colors) not in wanted:
             return SingletonVerdict(root, False, COND_COLOR_COUNT)
-        if not all(f.is_nonnegative() for f in colors):
+        if any(v < 0 for f in colors for v in f):
             return SingletonVerdict(root, False, COND_COLOR_CONE)
         if any(c > 1 for c in coeffs):
             return SingletonVerdict(root, False, COND_DUAL_BOUND)
@@ -149,18 +151,10 @@ def tangent_space(ctx: WeightMonoidContext) -> TangentReport:
 # Subset-level machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColorData:
-    kind: str                 # "a", "2a" or "b"
-    anchor: tuple             # token ids (kind a) or simple-root indices (2a, b)
-    functional: Functional
-
-
 @dataclass
 class SphericalSystemCheck:
     sp: frozenset
     sigma: tuple
-    colors: tuple = ()
     verdicts: dict = field(default_factory=dict)
 
     @property
@@ -242,14 +236,14 @@ def _axiom_sigma2(rs: RootSystem, sigma: Sequence[SphericalRoot]) -> bool:
     return True
 
 
-def _token_partitions(tokens: list, classes: dict):
+def _token_partitions(tokens: list, functionals: dict):
     """All partitions of color tokens into functional-homogeneous blocks that
     keep the two tokens of any one simple root apart.  Tokens are (k, sign)
-    with k the position of the root in sigma; `classes` maps each token to
-    the class of its functional (see `WeightMonoidContext.token_classes`)."""
+    with k the position of the root in sigma; `functionals` maps each token
+    to its functional (see `WeightMonoidContext.tokens`)."""
     by_functional: dict = {}
     for t in tokens:
-        by_functional.setdefault(classes[t], []).append(t)
+        by_functional.setdefault(functionals[t], []).append(t)
 
     def partitions_of(group: list):
         if not group:
@@ -292,7 +286,7 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
             return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={"color_pair": False})
         tokens += [(k, "+"), (k, "-")]
 
-    # Abstract color set: blocks of tokens with equal functionals such that
+    # The a-colors: blocks of tokens with equal functionals such that
     # exactly two blocks pair to 1 with each simple member of sigma.  When no
     # partition qualifies, the singleton blocks (one of those tried) go to
     # the axiom check, which rejects them under A2.  A token (k, sign) of
@@ -302,10 +296,10 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
         t: tuple(ctx.token_value(*names[t], r.coords) for r in sigma)
         for t in tokens
     }
-    classes = {t: ctx.token_classes[names[t]] for t in tokens}
+    functionals = {t: ctx.tokens[names[t]] for t in tokens}
     part = next(
         (
-            p for p in _token_partitions(tokens, classes)
+            p for p in _token_partitions(tokens, functionals)
             if all(sum(values[b[0]][k] == 1 for b in p) == 2 for k in simple_positions)
         ),
         sorted((t,) for t in tokens),
@@ -321,25 +315,15 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
         if _member_condition(ctx, r, strict=False):
             v["sigma1" if r.kind == KIND_DOUBLE else "sigma2"] = False
 
-    # Full color set.
-    colors = [ColorData("a", b, ctx.tokens[names[b[0]]]) for b in part]
+    # Cone data of every color: an a-color by its token; the color of a
+    # doubled member 2a_i by the coroot of a_i, of which it is half; and the
+    # color of each simple root outside sp and the simple members by its
+    # coroot.
     half_members = {r.simple_index for r in sigma if r.kind == KIND_DOUBLE}
     sigma_simples = {r.simple_index for r in sigma if r.kind == KIND_SIMPLE}
-    for i in sorted(half_members):
-        colors.append(ColorData("2a", (i,), ctx.half_coroots[i]))
-    b_nodes = [
-        i for i in range(ctx.n)
-        if i not in sp and i not in sigma_simples and i not in half_members
-    ]
-    b_blocks = _b_color_classes(rs, sigma, b_nodes)
-    for block in b_blocks:
-        colors.append(ColorData("b", block, ctx.coroots[block[0]]))
-    check.colors = tuple(colors)
-
-    # Every color functional, with the coroots of the whole b blocks, by its
-    # context name: a token, or a coroot (the "2a" colors are half of one).
     cones = [ctx.cones[names[b[0]]] for b in part] + [
-        ctx.cones[i, None] for i in half_members.union(b_nodes)
+        ctx.cones[i, None] for i in range(ctx.n)
+        if i in half_members or (i not in sp and i not in sigma_simples)
     ]
     rays = frozenset().union(*(c[0] for c in cones))
     v["rays"] = all(
@@ -349,28 +333,6 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     )
     v["dual_cone"] = all(c[1] for c in cones)
     return check
-
-
-def _b_color_classes(rs: RootSystem, sigma: Sequence[SphericalRoot], nodes: list) -> list:
-    """Group the remaining simple roots: two are identified when they are
-    orthogonal and their sum is a member of sigma."""
-    pair_supports = [frozenset(r.support) for r in sigma if r.kind == KIND_PAIR]
-    parent = {i: i for i in nodes}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in nodes:
-        for j in nodes:
-            if i < j and frozenset((i, j)) in pair_supports:
-                parent[find(i)] = find(j)
-    blocks: dict = {}
-    for i in nodes:
-        blocks.setdefault(find(i), []).append(i)
-    return [tuple(sorted(b)) for b in sorted(blocks.values())]
 
 
 @dataclass(frozen=True)

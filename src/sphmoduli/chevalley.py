@@ -36,7 +36,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
             continue
         # 2a_i is never a root, so delta and its a_i-string below stay positive
         for i in reversed(range(rs.rank)):
-            alpha = tuple(int(j == i) for j in range(rs.rank))
+            alpha = rs.simple_roots[i]
             delta = sub(gamma, alpha)
             if delta in pos_set:
                 break

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import adapted, oracle
 from .adapted import SearchBudgetExceeded
@@ -22,10 +21,6 @@ from .sphroots import root_name, spherical_root_catalog
 from .wmonoid import DependentBasis, NonDominantWeight, build_context
 
 SCHEMA_VERSION = 1
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +78,7 @@ def analyze(args) -> tuple:
         },
         "rank": rs.rank,
         "sp_gamma": [f"a{i + 1}" for i in sorted(ctx.sp_gamma)],
-        "e_gamma": [[_frac_str(v) for v in f.values] for f in ctx.dual_basis],
+        "e_gamma": [[str(v) for v in f] for f in ctx.dual_basis],
     }
 
     # Strict singleton verdicts: every catalog root not rejected is a weight.

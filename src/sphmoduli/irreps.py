@@ -57,8 +57,7 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict:
     pos_w = [(rs.root_to_weight(b), sum(b)) for b in pos]
     lam_rho = tuple(c + 1 for c in lam)
     top = weight_inner(rs, lam_rho, lam_rho)
-    alpha_w = [rs.root_to_weight(tuple(1 if j == i else 0 for j in range(rs.rank)))
-               for i in range(rs.rank)]
+    alpha_w = [rs.root_to_weight(a) for a in rs.simple_roots]
     mult = {lam: 1}
     depth = {lam: 0}
     frontier = [lam]
@@ -109,8 +108,7 @@ class IrrepModule:
         # root -> {id: image column}, seeded with the simple tables filled in
         # by build_irrep; non-simple columns are added as they are asked for
         self._columns = {}
-        for i in range(rs.rank):
-            unit = tuple(1 if j == i else 0 for j in range(rs.rank))
+        for i, unit in enumerate(rs.simple_roots):
             self._columns[unit] = self.raise_[i]
             self._columns[neg(unit)] = self.lower[i]
 
@@ -179,8 +177,7 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
         raise DimensionBudgetExceeded(lam, expected, dim_cap)
 
     n = rs.rank
-    alpha_w = [rs.root_to_weight(tuple(1 if j == i else 0 for j in range(n)))
-               for i in range(n)]
+    alpha_w = [rs.root_to_weight(a) for a in rs.simple_roots]
     mod = IrrepModule(rs, lam)
     place = mod.position
     prev_ids = [0]

@@ -115,8 +115,7 @@ def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
 
     # Required operators: all simple raisings, and the lowerings of simple
     # roots orthogonal to every basis weight.
-    simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
-    ops = simple + [neg(simple[i]) for i in sorted(ctx.sp_gamma)]
+    ops = list(rs.simple_roots) + [neg(rs.simple_roots[i]) for i in sorted(ctx.sp_gamma)]
 
     # Unknowns: the m coordinates, then one coefficient per allowed g.x0
     # vector of each operator.  One equation per (operator, touched coordinate).

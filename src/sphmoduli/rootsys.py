@@ -109,11 +109,16 @@ class RootSystem:
     # column j of the Cartan matrix as its nonzero (i, entry) pairs: a_j and
     # its Dynkin neighbours
     _columns: tuple = field(init=False, compare=False, hash=False, repr=False)
+    # the root vector of a_i at i
+    simple_roots: tuple = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
+        n = len(self.cartan)
         object.__setattr__(self, "_columns", tuple(
             tuple((i, row[j]) for i, row in enumerate(self.cartan) if row[j])
-            for j in range(len(self.cartan))))
+            for j in range(n)))
+        object.__setattr__(self, "simple_roots", tuple(
+            tuple(int(j == i) for j in range(n)) for i in range(n)))
 
     @property
     def rank(self) -> int:
@@ -202,12 +207,8 @@ def positive_roots(rs: RootSystem) -> tuple:
     with beta - k*a_i still a root.
     """
     n = rs.rank
-    roots = set()
-    frontier = []
-    for i in range(n):
-        v = tuple(1 if j == i else 0 for j in range(n))
-        roots.add(v)
-        frontier.append(v)
+    roots = set(rs.simple_roots)
+    frontier = list(rs.simple_roots)
     while frontier:
         new = []
         for beta in frontier:

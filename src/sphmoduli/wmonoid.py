@@ -2,21 +2,21 @@
 
 A context holds a linearly independent family F of dominant weights.  The
 monoid it generates is free, so the dual cone of the generated lattice has
-the dual basis of F as its ray generators, and functionals are stored
-simply by their value vectors on F.
+the dual basis of F as its ray generators.  A functional on the lattice is
+the tuple of its integer values on F, and it is evaluated on lattice
+coefficients by a dot product.
 
 When it is built, a context computes the data of each simple root a_i
-that the subset decision reads: the coroot restricted to F and its half, the
-color functionals, the two color tokens with their classes, and the
-dual-cone data (rays and sign) of each token and coroot.  What is keyed by
-roots, which a walk meets by the thousand, fills two memos lazily for the
-context's lifetime: the lattice coefficients of each root vector and the
-value of each token on each root.
+that the subset decision reads: the coroot restricted to F, the color
+functionals, the two color tokens, and the dual-cone data (rays and sign)
+of each token and coroot.  What is keyed by roots, which a walk meets by
+the thousand, fills two memos lazily for the context's lifetime: the
+lattice coefficients of each root vector and the value of each token on
+each root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -39,37 +39,14 @@ class LatticeMembershipError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Functional:
-    """A rational functional on the weight lattice spanned by F, stored by
-    its values on the basis elements."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-
-    def __call__(self, coefficients: Sequence) -> Fraction:
-        return sum((v * c for v, c in zip(self.values, coefficients)), Fraction(0))
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values)
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scaled(self, q) -> "Functional":
-        q = Fraction(q)
-        return Functional(tuple(q * v for v in self.values))
-
-
-def _cone(f: Functional) -> tuple:
-    """(rays, nonnegative) of f: the k for which f is a positive multiple of
-    the k-th dual basis functional, that is, its only nonzero value is
-    positive and sits at k; and whether f lies in the dual cone."""
-    nonzero = [k for k, v in enumerate(f.values) if v]
-    rays = frozenset(nonzero) if len(nonzero) == 1 and f.values[nonzero[0]] > 0 else frozenset()
-    return rays, f.is_nonnegative()
+def _cone(f: tuple) -> tuple:
+    """(rays, nonnegative) of the functional with values f on F: the k for
+    which f is a positive multiple of the k-th dual basis functional, that
+    is, its only nonzero value is positive and sits at k; and whether f lies
+    in the dual cone."""
+    nonzero = [k for k, v in enumerate(f) if v]
+    rays = frozenset(nonzero) if len(nonzero) == 1 and f[nonzero[0]] > 0 else frozenset()
+    return rays, all(v >= 0 for v in f)
 
 
 class WeightMonoidContext:
@@ -95,10 +72,7 @@ class WeightMonoidContext:
         self.sp_gamma = frozenset(
             i for i in range(self.n) if all(w[i] == 0 for w in self.basis)
         )
-        self.dual_basis = tuple(
-            Functional(tuple(1 if j == k else 0 for j in range(self.r)))
-            for k in range(self.r)
-        )
+        self.dual_basis = tuple(tuple(int(j == k) for j in range(self.r)) for k in range(self.r))
         # <w, beta^v> is a sum of d_j beta_j w_j >= 0 for dominant w, so it
         # vanishes on F exactly when F vanishes on the support of beta.
         self.f_perp = tuple(
@@ -106,22 +80,16 @@ class WeightMonoidContext:
         )
 
         # Simple-root data.  coroots[i] is the restriction of the i-th simple
-        # coroot to F, half_coroots[i] the color of a doubled root 2a_i.
-        self.coroots = tuple(Functional(tuple(w[i] for w in self.basis)) for i in range(self.n))
-        self.half_coroots = tuple(f.scaled(Fraction(1, 2)) for f in self.coroots)
+        # coroot to F.
+        self.coroots = tuple(tuple(w[i] for w in self.basis) for i in range(self.n))
         # colors[i] is the tuple of color functionals of a_i, None off the lattice.
         self.colors = tuple(self._color_functionals(i) for i in range(self.n))
         # A simple member a_i of a root set carries two color tokens: (i, "+")
         # with the first and (i, "-") with the last of its color functionals.
-        # Tokens share a class exactly when their functionals are equal.
         self.tokens: dict = {}          # (i, sign) -> functional
-        self.token_classes: dict = {}   # (i, sign) -> class
-        classes: dict = {}
         for i, colors in enumerate(self.colors):
             if colors:
-                for sign, f in (("+", colors[0]), ("-", colors[-1])):
-                    self.tokens[i, sign] = f
-                    self.token_classes[i, sign] = classes.setdefault(f.values, len(classes))
+                self.tokens[i, "+"], self.tokens[i, "-"] = colors[0], colors[-1]
         # Cone data of each token, and of the coroot of i under (i, None).
         self.cones = {(i, None): _cone(f) for i, f in enumerate(self.coroots)}
         self.cones.update((t, _cone(f)) for t, f in self.tokens.items())
@@ -143,14 +111,15 @@ class WeightMonoidContext:
     # -- functionals ---------------------------------------------------------
 
     def _color_functionals(self, i: int) -> Optional[tuple]:
-        coeffs = self.in_lattice_root(tuple(1 if j == i else 0 for j in range(self.n)))
+        coeffs = self.in_lattice_root(self.rs.simple_roots[i])
         if coeffs is None:
             return None
         out = set()
         for k, c in enumerate(coeffs):
             if c == 1:
-                out |= {self.dual_basis[k].values, (self.coroots[i] - self.dual_basis[k]).values}
-        return tuple(Functional(values) for values in sorted(out))
+                e = self.dual_basis[k]
+                out |= {e, tuple(a - b for a, b in zip(self.coroots[i], e))}
+        return tuple(sorted(out))
 
     def color_functionals(self, i: int) -> tuple:
         """The functionals taking value 1 on the i-th simple root that are a
@@ -163,13 +132,14 @@ class WeightMonoidContext:
             )
         return colors
 
-    def token_value(self, i: int, sign: str, v: RootVector) -> Fraction:
+    def token_value(self, i: int, sign: str, v: RootVector) -> int:
         """Value of the token (i, sign) on the lattice coefficients of the
         root v, which must lie in the lattice."""
         key = (i, sign, v)
         value = self._token_values.get(key)
         if value is None:
-            value = self._token_values[key] = self.tokens[i, sign](self.in_lattice_root(v))
+            value = self._token_values[key] = sum(
+                a * c for a, c in zip(self.tokens[i, sign], self.in_lattice_root(v)))
         return value
 
     def __repr__(self):

@@ -11,7 +11,7 @@ output, standard error and exit status.  Two source roots with the same
 count and hash produced byte-identical reports.
 
 A second line digests the subset decisions themselves: `is_adapted_subset`
-(`ok`, `verdicts`, `colors`) and `is_n_adapted_subset` (`ok`, `witness`) on
+(`ok`, `verdicts`) and `is_n_adapted_subset` (`ok`, `witness`) on
 every catalog subset of size at most 3, for every independent basis (the
 empty one included) of the small grids in `DECISION_GRIDS`.
 
@@ -134,9 +134,8 @@ def decision_digest() -> str:
                 check = sm.is_adapted_subset(ctx, sigma)
                 n_check = sm.is_n_adapted_subset(ctx, sigma)
                 witness = n_check.witness and [r.coords for r in n_check.witness]
-                colors = [(c.kind, c.anchor, c.functional.values) for c in check.colors]
                 record = (group, basis, [r.coords for r in sigma], check.ok,
-                          check.verdicts, colors, n_check.ok, witness)
+                          check.verdicts, n_check.ok, witness)
                 digest.update(repr(record).encode())
                 digest.update(b"\0")
                 count += 1
