@@ -11,15 +11,18 @@ halves or restrictions of.
 The subset decision runs thousands of times per context in a walk.  It
 reads the data of each simple root (color tokens and their dual-cone data)
 from attributes the context computes when it is built, and what is
-keyed by roots (lattice coefficients, token values, Cartan pairings) from
-the memos of the context and its root system; see `wmonoid` and `rootsys`.
+keyed by roots (lattice coefficients, token values, member facts, Cartan
+pairings, sandwich bounds) from the memos of the context and its root
+system; see `wmonoid` and `rootsys`.  The walk skips every root that a
+member-level exit rejects in any set (`_member_facts`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .rootsys import RootSystem
@@ -43,6 +46,11 @@ COND_DUAL_BOUND = "dual_value_above_one"
 COND_HALF_LATTICE = "half_root_in_lattice"
 COND_PARITY = "odd_coroot_value"
 COND_COROOT_MATCH = "coroot_mismatch"
+
+# Member-level exits of the subset decisions (see `_member_facts`).
+EXIT_LATTICE = "lattice"
+EXIT_ONE_COLOR = "one_color"
+EXIT_COLOR_PAIR = "color_pair"
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -101,7 +109,7 @@ def _member_condition(ctx: WeightMonoidContext, root: SphericalRoot, strict: boo
     agree on F."""
     if root.kind == KIND_DOUBLE:
         i = root.simple_index
-        if not strict and ctx.in_lattice_root(_half(root).coords) is not None:
+        if not strict and ctx.colors[i] is not None:
             return COND_HALF_LATTICE
         if any(w[i] % 2 for w in ctx.basis):
             return COND_PARITY
@@ -236,6 +244,44 @@ def _axiom_sigma2(rs: RootSystem, sigma: Sequence[SphericalRoot]) -> bool:
     return True
 
 
+class _MemberFacts(NamedTuple):
+    exit: Optional[str]                 # member-level exit, see `_member_facts`
+    condition: Optional[str]            # `_member_condition(ctx, root, strict=False)`
+    member: SphericalRoot               # what the N-adapted candidate holds
+    positive: frozenset                 # the k with a positive lattice coefficient
+
+
+def _member_facts(ctx: WeightMonoidContext, root: SphericalRoot) -> _MemberFacts:
+    """What the subset decisions read of one root, memoised on the context
+    by root vector (the catalog holds one root per vector).
+
+    `exit` is the one home of the member-level exits.  When it is not None,
+    `is_n_adapted_subset` rejects every root set holding the root before
+    any color partition is searched.  A simple root needs exactly two color
+    functionals: off the lattice it fails "lattice", with one no member maps
+    to it ("one_color"), and with none or three or more it fails
+    "color_pair".  A doubled root 2a_i whose a_i has one color functional is
+    replaced by that half, which passes; every other root must lie in the
+    lattice.  `is_adapted_subset` exits on "lattice" and "color_pair".
+    `member` is the half for such a doubled root, the root itself
+    otherwise."""
+    facts = ctx._member_facts.get(root.coords)
+    if facts is None:
+        exit, member = None, root
+        coeffs = ctx.in_lattice_root(root.coords)
+        if coeffs is None:
+            exit, coeffs = EXIT_LATTICE, ()
+        elif root.kind == KIND_SIMPLE:
+            count = len(ctx.colors[root.simple_index])
+            exit = None if count == 2 else EXIT_ONE_COLOR if count == 1 else EXIT_COLOR_PAIR
+        elif root.kind == KIND_DOUBLE and len(ctx.colors[root.simple_index] or ()) == 1:
+            member = _half(ctx.rs, root)
+        facts = ctx._member_facts[root.coords] = _MemberFacts(
+            exit, _member_condition(ctx, root, strict=False), member,
+            frozenset(k for k, c in enumerate(coeffs) if c > 0))
+    return facts
+
+
 def _token_partitions(tokens: list, functionals: dict):
     """All partitions of color tokens into functional-homogeneous blocks that
     keep the two tokens of any one simple root apart.  Tokens are (k, sign)
@@ -271,20 +317,14 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     rs = ctx.rs
     sp = ctx.sp_gamma
     sigma = tuple(sorted({r.coords: r for r in sigma}.values(), key=lambda r: r.coords))
-
-    coeff_map = {}
-    for r in sigma:
-        coeffs = ctx.in_lattice_root(r.coords)
-        if coeffs is None:
-            return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={"lattice": False})
-        coeff_map[r.coords] = coeffs
+    facts = [_member_facts(ctx, r) for r in sigma]
+    exits = {f.exit for f in facts}
+    for tag in (EXIT_LATTICE, EXIT_COLOR_PAIR):
+        if tag in exits:
+            return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={tag: False})
 
     simple_positions = [k for k, r in enumerate(sigma) if r.kind == KIND_SIMPLE]
-    tokens = []
-    for k in simple_positions:
-        if len(ctx.color_functionals(sigma[k].simple_index)) not in (1, 2):
-            return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={"color_pair": False})
-        tokens += [(k, "+"), (k, "-")]
+    tokens = [(k, sign) for k in simple_positions for sign in "+-"]
 
     # The a-colors: blocks of tokens with equal functionals such that
     # exactly two blocks pair to 1 with each simple member of sigma.  When no
@@ -311,8 +351,8 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     # two color functionals of a simple member already sum to its coroot
     # (see `color_functionals`), so only sigma1 and sigma2 can fail here.
     v["sigma1"] = v["sigma2"] = True
-    for r in sigma:
-        if _member_condition(ctx, r, strict=False):
+    for r, f in zip(sigma, facts):
+        if f.condition:
             v["sigma1" if r.kind == KIND_DOUBLE else "sigma2"] = False
 
     # Cone data of every color: an a-color by its token; the color of a
@@ -326,11 +366,7 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
         if i in half_members or (i not in sp and i not in sigma_simples)
     ]
     rays = frozenset().union(*(c[0] for c in cones))
-    v["rays"] = all(
-        k in rays
-        for k in range(ctx.r)
-        if any(coeff_map[r.coords][k] > 0 for r in sigma)
-    )
+    v["rays"] = all(f.positive <= rays for f in facts)
     v["dual_cone"] = all(c[1] for c in cones)
     return check
 
@@ -351,22 +387,23 @@ def is_n_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]
     doubled member 2a_i whose a_i has a single color functional has a_i in
     the lattice, so no adapted set holds 2a_i itself (sigma1) and it can
     only come from its half.  So the one candidate halves every such member
-    and keeps the rest; it maps onto the set."""
+    and keeps the rest; it maps onto the set.  The exits and the halves are
+    read from `_member_facts`."""
     sigma = tuple(sorted({r.coords: r for r in sigma}.values(), key=lambda r: r.coords))
-    one_color = [len(colors or ()) == 1 for colors in ctx.colors]
-    if any(r.kind == KIND_SIMPLE and one_color[r.simple_index] for r in sigma):
+    facts = [_member_facts(ctx, r) for r in sigma]
+    if any(f.exit for f in facts):
         return NAdaptedVerdict(False)
-    candidate = tuple(_half(r) if r.kind == KIND_DOUBLE and one_color[r.simple_index] else r
-                      for r in sigma)
+    candidate = tuple(f.member for f in facts)
     if is_adapted_subset(ctx, candidate).ok:
         return NAdaptedVerdict(True, candidate)
     return NAdaptedVerdict(False)
 
 
-def _half(doubled: SphericalRoot) -> SphericalRoot:
-    """The simple root a_i of the doubled root 2a_i, equal to its catalog entry."""
-    i = doubled.simple_index
-    return SphericalRoot(tuple(c // 2 for c in doubled.coords), KIND_SIMPLE, frozenset({i}), (i,))
+def _half(rs: RootSystem, doubled: SphericalRoot) -> SphericalRoot:
+    """The catalog entry of the simple root a_i of the doubled root 2a_i."""
+    catalog = spherical_root_catalog(rs)
+    half = rs.simple_roots[doubled.simple_index]
+    return catalog[bisect_left(catalog, half, key=lambda r: r.coords)]
 
 
 @dataclass(frozen=True)
@@ -385,12 +422,18 @@ def enumerate_n_adapted_subsets(
     budget: int = 200_000,
 ) -> list[SubsetRecord]:
     """All N-adapted subsets of the catalog with linearly independent
-    vectors, up to `max_size`, with inclusion-maximal ones flagged."""
+    vectors, up to `max_size`, with inclusion-maximal ones flagged.
+
+    The walk ranges over the catalog roots without a member-level exit
+    (`_member_facts`): `is_n_adapted_subset` rejects every set holding any
+    other root before it searches the colors, so no such set is built.
+    `budget` bounds the number of sets examined, the steps of the walk over
+    those roots."""
     if max_size is None:
         max_size = ctx.r
     if not 0 <= max_size <= ctx.r:
         raise ValueError(f"max_size {max_size} must lie in 0..{ctx.r}")
-    catalog = spherical_root_catalog(ctx.rs)
+    roots = [r for r in spherical_root_catalog(ctx.rs) if _member_facts(ctx, r).exit is None]
     accepted = []
     examined = 0
 
@@ -409,8 +452,8 @@ def enumerate_n_adapted_subsets(
         record(chosen)
         if len(chosen) == max_size:
             return
-        for idx in range(start, len(catalog)):
-            root = catalog[idx]
+        for idx in range(start, len(roots)):
+            root = roots[idx]
             grown = echelon.copy()
             if grown.add(root.coords):
                 extend(idx + 1, chosen + (root,), grown)

@@ -43,6 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: `main` runs once per analysis, by the thousand in a
+# sweep of bases.
+PARSER = build_parser()
+
+
 def analyze(args) -> tuple:
     """Returns (report dict, exit status)."""
     try:
@@ -185,8 +190,7 @@ def _verdict(ok: bool, failed) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     report, status = analyze(args)
     if getattr(args, "json", False):
         print(json.dumps(report, indent=2, sort_keys=True))

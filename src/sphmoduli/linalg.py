@@ -60,8 +60,9 @@ class Echelon:
         return len(self.rows)
 
     def add(self, v: Sequence) -> bool:
-        """Keep `v` when it is independent of the rows so far; report that."""
-        v = _primitive(v)
+        """Keep `v` when it is independent of the rows so far; report that.
+        A row of ints skips the denominator pass."""
+        v = _divide_gcd(v) if all(type(x) is int for x in v) else _primitive(v)
         for row, pc in zip(self.rows, self.pivots):
             if v[pc]:
                 v = _eliminate(v, row, pc)

@@ -142,19 +142,22 @@ def compatible_with_sp(rs: RootSystem, root: SphericalRoot, sp: Iterable[int]) -
     """Sandwich test: the simple roots pairing to zero with the root, inside
     the support on the left and globally on the right, must bound sp.  The
     B-type sum drops the short end node from both bounds, the C-type shape
-    drops its first node from the lower bound only."""
-    sp = frozenset(sp)
-    zero_global = {i for i, x in enumerate(rs.root_to_weight(root.coords)) if x == 0}
+    drops its first node from the lower bound only.  The bounds are memoised
+    on the root system by root vector (the catalog holds one root per
+    vector)."""
+    bounds = rs._sp_bounds.get(root.coords)
+    if bounds is None:
+        bounds = rs._sp_bounds[root.coords] = _sp_bounds(rs, root)
+    lower, upper = bounds
+    return lower <= frozenset(sp) <= upper
+
+
+def _sp_bounds(rs: RootSystem, root: SphericalRoot) -> tuple:
+    zero_global = frozenset(i for i, x in enumerate(rs.root_to_weight(root.coords)) if x == 0)
     zero_in_support = zero_global & root.support
     if root.kind == KIND_BN_SUM:
         short_end = root.labeling[-1]
-        lower = zero_in_support - {short_end}
-        upper = zero_global - {short_end}
-    elif root.kind == KIND_CN:
-        first = root.labeling[0]
-        lower = zero_in_support - {first}
-        upper = zero_global
-    else:
-        lower = zero_in_support
-        upper = zero_global
-    return lower <= sp <= upper
+        return zero_in_support - {short_end}, zero_global - {short_end}
+    if root.kind == KIND_CN:
+        return zero_in_support - {root.labeling[0]}, zero_global
+    return zero_in_support, zero_global

@@ -10,9 +10,10 @@ When it is built, a context computes the data of each simple root a_i
 that the subset decision reads: the coroot restricted to F, the color
 functionals, the two color tokens, and the dual-cone data (rays and sign)
 of each token and coroot.  What is keyed by roots, which a walk meets by
-the thousand, fills two memos lazily for the context's lifetime: the
-lattice coefficients of each root vector and the value of each token on
-each root.
+the thousand, fills three memos lazily for the context's lifetime: the
+lattice coefficients of each root vector, the value of each token on each
+root, and what the subset decisions read of each root
+(`adapted._member_facts`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _cone(f: tuple) -> tuple:
 
 class WeightMonoidContext:
     """Immutable bundle: root system, free basis F, the data of each simple
-    root, and the two memos of the subset decision."""
+    root, and the three memos of the subset decision."""
 
     def __init__(self, rs: RootSystem, basis: Sequence[Weight]):
         self.rs = rs
@@ -69,6 +70,7 @@ class WeightMonoidContext:
         self._cols = cols
         self._root_coeffs: dict = {}    # root vector -> lattice coefficients
         self._token_values: dict = {}   # (i, sign, root vector) -> value
+        self._member_facts: dict = {}   # root vector -> adapted._member_facts
         self.sp_gamma = frozenset(
             i for i in range(self.n) if all(w[i] == 0 for w in self.basis)
         )

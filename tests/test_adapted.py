@@ -1,14 +1,21 @@
+import ast
 import random
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapted_reference import reference_n_adapted_subset
+from adapted_reference import (
+    independent_subsets,
+    reference_n_adapted_subset,
+    reference_n_adapted_subsets,
+)
 from conftest import catalog_by_name
 from sphmoduli import (
     adapted,
+    linalg,
     LatticeMembershipError,
     build_context,
     build_root_system,
@@ -28,7 +35,9 @@ from sphmoduli.adapted import (
     COND_HALF_LATTICE,
     COND_RAYS,
     SearchBudgetExceeded,
+    _member_facts,
 )
+from sphmoduli.sphroots import KIND_DOUBLE, KIND_SIMPLE
 
 
 def test_sl2_simple_root_adapted_but_not_strictly(sl2_even):
@@ -483,3 +492,101 @@ def test_all_doubled_members_halved_witness():
     verdict = is_n_adapted_subset(ctx, [cat["2*a1"], cat["2*a2"], cat["2*a3"]])
     assert verdict.ok
     assert [r.name() for r in verdict.witness] == ["a3", "a2", "a1"]
+
+
+DIGEST = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
+
+# The five contexts of the benchmark's `subsets` workload (perfbench/corpus.py).
+SUBSETS_CONTEXTS = (
+    ("A1xA1xA1", [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+    ("A1xA1xA1xA1", [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
+    ("A3xA1", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    ("A4", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    ("C4", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+)
+
+
+def _decision_grids():
+    """The DECISION_GRIDS tuple of the report digest, read from its source."""
+    for node in ast.parse(DIGEST.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["DECISION_GRIDS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no DECISION_GRIDS in {DIGEST}")
+
+
+def _walk_contexts(name):
+    """Every independent basis (the empty one included) of one digest grid,
+    or one context of the subsets workload."""
+    rs = build_root_system(name)
+    if name in dict(SUBSETS_CONTEXTS):
+        return [build_context(rs, dict(SUBSETS_CONTEXTS)[name])]
+    max_coord = dict(_decision_grids())[name]
+    vectors = [v for v in product(range(max_coord + 1), repeat=rs.rank) if any(v)]
+    out = []
+    for basis in (b for r in range(rs.rank + 1) for b in combinations(vectors, r)):
+        try:
+            out.append(build_context(rs, list(basis)))
+        except ValueError:
+            pass
+    return out
+
+
+WALK_CONTEXTS = [g for g, _ in _decision_grids()] + [g for g, _ in SUBSETS_CONTEXTS]
+
+
+@pytest.mark.parametrize("name", WALK_CONTEXTS)
+def test_walk_matches_exhaustive_reference(name):
+    for ctx in _walk_contexts(name):
+        got = [(rec.roots, rec.maximal) for rec in enumerate_n_adapted_subsets(ctx)]
+        want = [(rec.roots, rec.maximal) for rec in reference_n_adapted_subsets(ctx)]
+        assert got == want, ctx
+
+
+def _may_sit_in_n_adapted_set(ctx, root):
+    """The walk's rule, stated on its own: a simple root needs exactly two
+    color functionals, a doubled root whose half has one is kept, and every
+    other root must lie in the lattice."""
+    colors = ctx.colors[root.simple_index] if root.kind in (KIND_SIMPLE, KIND_DOUBLE) else None
+    if root.kind == KIND_SIMPLE:
+        return colors is not None and len(colors) == 2
+    if root.kind == KIND_DOUBLE and colors is not None and len(colors) == 1:
+        return True
+    return ctx.in_lattice_root(root.coords) is not None
+
+
+@pytest.mark.parametrize("name", WALK_CONTEXTS)
+def test_walk_drops_only_roots_no_n_adapted_set_holds(name):
+    # a dropped root is rejected alone and added to every accepted set
+    # that stays independent
+    for ctx in _walk_contexts(name):
+        catalog = spherical_root_catalog(ctx.rs)
+        dropped = [r for r in catalog if not _may_sit_in_n_adapted_set(ctx, r)]
+        assert dropped == [r for r in catalog if _member_facts(ctx, r).exit], ctx
+        accepted = [rec.roots for rec in enumerate_n_adapted_subsets(ctx)]
+        for root in dropped:
+            for sigma in accepted:
+                if len(linalg.Echelon([r.coords for r in sigma + (root,)])) == len(sigma) + 1:
+                    assert not is_n_adapted_subset(ctx, sigma + (root,)).ok, (ctx, sigma, root)
+        assert all(not is_n_adapted_subset(ctx, [root]).ok for root in dropped), ctx
+
+
+def test_walk_budget_counts_steps_over_kept_roots():
+    # A1xA1xA1 with F = 2w_i: the three simple roots have one color each
+    # and are dropped, so the walk steps over the 6 other roots only
+    ctx = build_context(build_root_system("A1xA1xA1"), [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    kept = [r for r in spherical_root_catalog(ctx.rs) if not _member_facts(ctx, r).exit]
+    assert [r.name() for r in kept] == ["2*a3", "a2+a3", "2*a2", "a1+a3", "a1+a2", "2*a1"]
+    steps = len(independent_subsets(kept, ctx.r))
+    enumerate_n_adapted_subsets(ctx, budget=steps - 1)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_n_adapted_subsets(ctx, budget=steps - 2)
+
+
+def test_member_facts_are_memoised_on_the_context():
+    ctx = build_context(build_root_system("A1xA1"), [(2, 0), (4, 2)])
+    cat = catalog_by_name(ctx.rs)
+    facts = _member_facts(ctx, cat["2*a2"])
+    assert facts.exit is None and facts.member is cat["a2"]
+    assert _member_facts(ctx, cat["2*a2"]) is facts
+    assert _member_facts(ctx, cat["a2"]).exit == "one_color"
+    assert _member_facts(ctx, cat["2*a1"]).condition == COND_HALF_LATTICE

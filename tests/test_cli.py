@@ -151,3 +151,21 @@ def test_catalog_strict_verdicts_come_from_tangent_space(capsys, group, weights)
         verdict = adapted.is_n_adapted_singleton(ctx, roots[tuple(entry["coords"])])
         assert (entry["n_adapted"], entry["n_adapted_failed"]) == (verdict.ok, verdict.failed)
     assert report["tangent"]["coords"] == [e["coords"] for e in report["catalog"] if e["n_adapted"]]
+
+
+def test_module_parser_keeps_no_state_between_calls(capsys):
+    # `main` parses with the parser built once at import; flags of one call
+    # must not carry over to the next
+    first = ["analyze", "--group", "A1", "--weights", "[[2]]", "--json"]
+    status, out = run_cli(capsys, *first, "--oracle", "--enumerate-subsets",
+                          "--max-subset-size", "0", "--irrep-dim-cap", "7")
+    assert status == 0
+    assert json.loads(out)["request"] == {
+        "group": "A1", "weights": [[2]], "oracle": True, "enumerate_subsets": True,
+        "max_subset_size": 0, "irrep_dim_cap": 7}
+    status, out = run_cli(capsys, *first)
+    assert status == 0
+    assert json.loads(out)["request"] == {
+        "group": "A1", "weights": [[2]], "oracle": False, "enumerate_subsets": False,
+        "max_subset_size": 1, "irrep_dim_cap": 5000}
+    assert vars(cli.PARSER.parse_args(first)) == vars(cli.build_parser().parse_args(first))

@@ -114,3 +114,15 @@ def test_echelon_add_matches_reference_rank_increments(shaped):
     assert [ech.add(row) for row in m] == [
         reference_rank(m[:k + 1]) > reference_rank(m[:k]) for k in range(len(m))
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(_matrices))
+def test_echelon_int_rows_match_fraction_rows(m):
+    # rows of ints skip the denominator pass; the kept rows, the pivots
+    # and every decision must be those of the same rows as Fractions
+    ints, fracs = Echelon(), Echelon()
+    for row in m:
+        assert ints.add(tuple(row)) == fracs.add([Fraction(x) for x in row])
+    assert ints.pivots == fracs.pivots
+    assert [list(r) for r in ints.rows] == fracs.rows

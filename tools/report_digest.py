@@ -22,6 +22,11 @@ A third line digests the irreducible modules of `MODULES`: `weights`,
 A fourth line digests the root operators on the same modules: the column
 `mod.column(alg, root, idx)` for every root and every basis vector, the
 non-simple ones built from the bracket decomposition, written the same way.
+
+A fifth line digests the subset walk: the records of
+`enumerate_n_adapted_subsets` (the root vectors of each accepted set and its
+`maximal` flag) on every context of `DECISION_GRIDS`, with the number of
+records.  The first line covers the walk only on the benchmark corpora.
 Stdlib only.
 """
 
@@ -112,7 +117,24 @@ def main(argv=None) -> int:
     print(decision_digest())
     print(module_digest())
     print(column_digest())
+    print(walk_digest())
     return 0
+
+
+def grid_contexts():
+    """(group, basis, context) for every independent basis (the empty one
+    included) of `DECISION_GRIDS`, each context built afresh."""
+    import sphmoduli as sm
+
+    for group, max_coord in DECISION_GRIDS:
+        rs = sm.build_root_system(group)
+        vectors = [v for v in product(range(max_coord + 1), repeat=rs.rank) if any(v)]
+        for basis in (b for r in range(rs.rank + 1) for b in combinations(vectors, r)):
+            try:
+                ctx = sm.build_context(rs, list(basis))
+            except ValueError:
+                continue
+            yield group, basis, ctx
 
 
 def decision_digest() -> str:
@@ -121,25 +143,33 @@ def decision_digest() -> str:
 
     digest = hashlib.sha256()
     count = 0
-    for group, max_coord in DECISION_GRIDS:
-        rs = sm.build_root_system(group)
-        catalog = sm.spherical_root_catalog(rs)
-        vectors = [v for v in product(range(max_coord + 1), repeat=rs.rank) if any(v)]
-        for basis in (b for r in range(rs.rank + 1) for b in combinations(vectors, r)):
-            try:
-                ctx = sm.build_context(rs, list(basis))
-            except ValueError:
-                continue
-            for sigma in (s for size in range(4) for s in combinations(catalog, size)):
-                check = sm.is_adapted_subset(ctx, sigma)
-                n_check = sm.is_n_adapted_subset(ctx, sigma)
-                witness = n_check.witness and [r.coords for r in n_check.witness]
-                record = (group, basis, [r.coords for r in sigma], check.ok,
-                          check.verdicts, n_check.ok, witness)
-                digest.update(repr(record).encode())
-                digest.update(b"\0")
-                count += 1
+    for group, basis, ctx in grid_contexts():
+        catalog = sm.spherical_root_catalog(ctx.rs)
+        for sigma in (s for size in range(4) for s in combinations(catalog, size)):
+            check = sm.is_adapted_subset(ctx, sigma)
+            n_check = sm.is_n_adapted_subset(ctx, sigma)
+            witness = n_check.witness and [r.coords for r in n_check.witness]
+            record = (group, basis, [r.coords for r in sigma], check.ok,
+                      check.verdicts, n_check.ok, witness)
+            digest.update(repr(record).encode())
+            digest.update(b"\0")
+            count += 1
     return f"decisions {count} sha256 {digest.hexdigest()}"
+
+
+def walk_digest() -> str:
+    """Count and sha256 of the subset walk's records on `DECISION_GRIDS`."""
+    import sphmoduli as sm
+
+    digest = hashlib.sha256()
+    count = 0
+    for group, basis, ctx in grid_contexts():
+        records = [([r.coords for r in rec.roots], rec.maximal)
+                   for rec in sm.enumerate_n_adapted_subsets(ctx)]
+        digest.update(repr((group, basis, records)).encode())
+        digest.update(b"\0")
+        count += len(records)
+    return f"walk {count} sha256 {digest.hexdigest()}"
 
 
 def module_digest() -> str:
