@@ -23,7 +23,7 @@ from .adapted import (
     is_n_adapted_subset,
     tangent_space,
 )
-from .chevalley import ChevalleyAlgebra, build_chevalley
+from .chevalley import build_chevalley
 from .irreps import (
     DimensionBudgetExceeded,
     IrrepModule,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientModel",
-    "ChevalleyAlgebra",
     "DependentBasis",
     "DimensionBudgetExceeded",
     "IrrepModule",

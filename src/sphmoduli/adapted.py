@@ -9,12 +9,13 @@ not built: the dual-cone conditions read only the coroots that they are
 halves or restrictions of.
 
 The subset decision runs thousands of times per context in a walk.  It
-reads the data of each simple root (color tokens and their dual-cone data)
-from attributes the context computes when it is built, and what is
-keyed by roots (lattice coefficients, token values, member facts, Cartan
-pairings, sandwich bounds) from the memos of the context and its root
-system; see `wmonoid` and `rootsys`.  The walk skips every root that a
-member-level exit rejects in any set (`_member_facts`).
+reads the data of each simple root (color functionals and the dual-cone
+data of each functional) from attributes the context computes when it is
+built, what is keyed by roots (lattice coefficients, member facts, Cartan
+pairings) from the memos of the context and its root system, and the
+sandwich bounds from the catalog roots; see `wmonoid`, `rootsys` and
+`sphroots`.  The walk skips every root that a member-level exit rejects in
+any set (`_member_facts`).
 """
 
 from __future__ import annotations
@@ -72,18 +73,17 @@ class SingletonVerdict:
 def _coroot_is_ray_multiple(ctx: WeightMonoidContext, k: int) -> bool:
     """Is some coroot of a simple root outside sp a positive multiple of the
     k-th dual basis functional?"""
-    return any(k in ctx.cones[i, None][0] for i in range(ctx.n) if i not in ctx.sp_gamma)
+    return any(k in ctx.cones[ctx.coroots[i]][0] for i in range(ctx.n) if i not in ctx.sp_gamma)
 
 
 def _singleton(ctx: WeightMonoidContext, root: SphericalRoot, strict: bool) -> SingletonVerdict:
     """Shared body of the two singleton tests.  `strict` selects the variant
     where a simple root needs both color functionals distinct and where the
     doubled simple root drops the half-not-in-lattice requirement."""
-    rs = ctx.rs
     coeffs = ctx.in_lattice_root(root.coords)
     if coeffs is None:
         return SingletonVerdict(root, False, COND_LATTICE)
-    if not compatible_with_sp(rs, root, ctx.sp_gamma):
+    if not compatible_with_sp(root, ctx.sp_gamma):
         return SingletonVerdict(root, False, COND_COMPAT)
     if root.kind != KIND_SIMPLE:
         for k, c in enumerate(coeffs):
@@ -215,7 +215,7 @@ def check_system_axioms(
     verdicts["A3"] = covered == set(pairing)
     verdicts["Sigma1"] = _axiom_sigma1(rs, sigma)
     verdicts["Sigma2"] = _axiom_sigma2(rs, sigma)
-    verdicts["S"] = all(compatible_with_sp(rs, r, sp) for r in sigma)
+    verdicts["S"] = all(compatible_with_sp(r, sp) for r in sigma)
     return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts=verdicts)
 
 
@@ -286,7 +286,7 @@ def _token_partitions(tokens: list, functionals: dict):
     """All partitions of color tokens into functional-homogeneous blocks that
     keep the two tokens of any one simple root apart.  Tokens are (k, sign)
     with k the position of the root in sigma; `functionals` maps each token
-    to its functional (see `WeightMonoidContext.tokens`)."""
+    to its functional (see `is_adapted_subset`)."""
     by_functional: dict = {}
     for t in tokens:
         by_functional.setdefault(functionals[t], []).append(t)
@@ -329,14 +329,18 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     # The a-colors: blocks of tokens with equal functionals such that
     # exactly two blocks pair to 1 with each simple member of sigma.  When no
     # partition qualifies, the singleton blocks (one of those tried) go to
-    # the axiom check, which rejects them under A2.  A token (k, sign) of
-    # sigma is the context's token (i, sign) of a_i = sigma[k].
-    names = {t: (sigma[t[0]].simple_index, t[1]) for t in tokens}
-    values = {
-        t: tuple(ctx.token_value(*names[t], r.coords) for r in sigma)
-        for t in tokens
+    # the axiom check, which rejects them under A2.  The token (k, "+") of
+    # the simple member a_i = sigma[k] carries the first of its color
+    # functionals and (k, "-") the last.
+    functionals = {
+        (k, sign): ctx.colors[sigma[k].simple_index][0 if sign == "+" else -1]
+        for k, sign in tokens
     }
-    functionals = {t: ctx.tokens[names[t]] for t in tokens}
+    coeffs = [ctx.in_lattice_root(r.coords) for r in sigma] if tokens else []
+    values = {
+        t: tuple(sum(a * c for a, c in zip(f, cs)) for cs in coeffs)
+        for t, f in functionals.items()
+    }
     part = next(
         (
             p for p in _token_partitions(tokens, functionals)
@@ -355,14 +359,14 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
         if f.condition:
             v["sigma1" if r.kind == KIND_DOUBLE else "sigma2"] = False
 
-    # Cone data of every color: an a-color by its token; the color of a
+    # Cone data of every color: an a-color by its functional; the color of a
     # doubled member 2a_i by the coroot of a_i, of which it is half; and the
     # color of each simple root outside sp and the simple members by its
     # coroot.
     half_members = {r.simple_index for r in sigma if r.kind == KIND_DOUBLE}
     sigma_simples = {r.simple_index for r in sigma if r.kind == KIND_SIMPLE}
-    cones = [ctx.cones[names[b[0]]] for b in part] + [
-        ctx.cones[i, None] for i in range(ctx.n)
+    cones = [ctx.cones[functionals[b[0]]] for b in part] + [
+        ctx.cones[ctx.coroots[i]] for i in range(ctx.n)
         if i in half_members or (i not in sp and i not in sigma_simples)
     ]
     rays = frozenset().union(*(c[0] for c in cones))

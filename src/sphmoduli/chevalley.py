@@ -8,26 +8,18 @@ opposite gives the coroot, the constant on (a_i, delta) is fixed to
 +N = +(p+1), with p the length of the a_i-string below delta, and the
 constant on (-a_i, -delta) is then -N.  So the operator of +-gamma is the
 bracket of the operators of +-a_i and +-delta divided by +-N, and these
-choices fix every root operator.  The full table of constants stays in
+choices fix every root operator.  `build_chevalley` returns the
+decomposition itself, the dict gamma -> (a_i, delta, N) over the non-simple
+positive roots.  The full table of constants stays in
 `tests/chevalley_reference.py` as the reference.
 """
 
 from __future__ import annotations
 
-from .rootsys import RootSystem, neg, positive_roots, sub
+from .rootsys import RootSystem, positive_roots, sub
 
 
-class ChevalleyAlgebra:
-    """Positive roots, all roots, and the bracket decomposition
-    gamma -> (a_i, delta, N); see build_chevalley."""
-
-    def __init__(self, pos_roots: tuple, decomposition: dict):
-        self.pos_roots = pos_roots          # ordered by (height, coords)
-        self.root_set = set(pos_roots) | {neg(r) for r in pos_roots}
-        self.decomposition = decomposition  # non-simple positive gamma -> (a_i, delta, N)
-
-
-def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
+def build_chevalley(rs: RootSystem) -> dict:
     pos = positive_roots(rs)
     pos_set = set(pos)
     decomposition: dict = {}
@@ -46,4 +38,4 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
             n += 1
             below = sub(below, alpha)
         decomposition[gamma] = (alpha, delta, n)
-    return ChevalleyAlgebra(pos, decomposition)
+    return decomposition

@@ -82,7 +82,7 @@ def analyze(args) -> tuple:
             "irrep_dim_cap": args.irrep_dim_cap,
         },
         "rank": rs.rank,
-        "sp_gamma": [f"a{i + 1}" for i in sorted(ctx.sp_gamma)],
+        "sp_gamma": [root_name(rs.simple_roots[i]) for i in sorted(ctx.sp_gamma)],
         "e_gamma": [[str(v) for v in f] for f in ctx.dual_basis],
     }
 

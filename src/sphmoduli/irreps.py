@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra
 from .rootsys import RootSystem, Weight, is_dominant, neg, positive_roots
 
 
@@ -122,10 +121,11 @@ class IrrepModule:
             return 0
         return self.gram[wa][1][self.position[a]][self.position[b]]
 
-    def column(self, alg: ChevalleyAlgebra, root: tuple, idx: int):
+    def column(self, decomposition: dict, root: tuple, idx: int):
         """Image [(id, coeff)] of basis vector `idx` under the operator of a
         root.  A non-simple root's column is built on first request, from
-        the bracket decomposition gamma = a_i + delta with constant N, as
+        the bracket decomposition gamma = a_i + delta with constant N (see
+        `chevalley.build_chevalley`), as
         X_gamma = (X_ai X_delta - X_delta X_ai) / N, and X_-gamma likewise
         from -a_i and -delta with constant -N; it is kept."""
         cols = self._columns.setdefault(root, {})
@@ -134,23 +134,24 @@ class IrrepModule:
             height = sum(root)
             if abs(height) == 1:
                 return ()   # a simple table lists all its nonzero columns
-            eps, delta, n = alg.decomposition[root if height > 0 else neg(root)]
+            eps, delta, n = decomposition[root if height > 0 else neg(root)]
             if height < 0:
                 eps, delta, n = neg(eps), neg(delta), -n
             inv = Fraction(1, n)
-            image = self.apply_root(alg, eps, dict(self.column(alg, delta, idx)))
-            for jdx, c in self.apply_root(alg, delta, dict(self.column(alg, eps, idx))).items():
+            image = self.apply_root(decomposition, eps, dict(self.column(decomposition, delta, idx)))
+            for jdx, c in self.apply_root(decomposition, delta,
+                                          dict(self.column(decomposition, eps, idx))).items():
                 image[jdx] = image.get(jdx, Fraction(0)) - c
             col = cols[idx] = [(jdx, c * inv) for jdx, c in sorted(image.items()) if c]
         return col
 
-    def apply_root(self, alg: ChevalleyAlgebra, root: tuple, vec: dict) -> dict:
+    def apply_root(self, decomposition: dict, root: tuple, vec: dict) -> dict:
         """Image of the sparse vector {id: coeff} under the operator of a
         root, built from the columns of its ids only; entries that cancel
         are dropped."""
         out: dict = {}
         for idx, c in vec.items():
-            for jdx, coeff in self.column(alg, root, idx):
+            for jdx, coeff in self.column(decomposition, root, idx):
                 out[jdx] = out.get(jdx, Fraction(0)) + c * coeff
         return {jdx: c for jdx, c in out.items() if c}
 

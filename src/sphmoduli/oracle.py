@@ -7,6 +7,11 @@ carries twisted-torus weight gamma; the twisted-weight-gamma part of the
 invariant quotient (V / g.x0) is computed by an explicit solve, and the
 surviving tangent directions are cut out by an extension criterion over the
 codimension-one orbit degenerations x0 - v_lambda.
+
+The model keys g.x0 by twisted weight: the zero weight holds the highest
+vectors, and each positive root beta outside `f_perp` holds X_-beta.x0.
+Every other twisted weight has no part in g.x0.  Root operators are built
+from the bracket decomposition of `chevalley.build_chevalley`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra, build_chevalley
+from .chevalley import build_chevalley
 from .irreps import build_irrep
 from .rootsys import neg, positive_roots, sub
 from .wmonoid import WeightMonoidContext
@@ -25,12 +30,12 @@ from .wmonoid import WeightMonoidContext
 @dataclass
 class AmbientModel:
     ctx: WeightMonoidContext
-    alg: ChevalleyAlgebra
+    decomposition: dict    # `chevalley.build_chevalley`
     modules: list
     offsets: list
     dim: int
     x0: dict               # sparse vectors of V: {global id: coeff}
-    gx0_vectors: dict      # tag -> vector; tags ('hw', k) and ('low', beta)
+    gx0: dict              # twisted weight -> the g.x0 vectors at that weight
     ids_at: dict           # twisted weight (simple-root coords) -> global ids
 
     def apply_root(self, root: tuple, vec: dict) -> dict:
@@ -41,13 +46,13 @@ class AmbientModel:
             off = self.offsets[k]
             part = {g - off: c for g, c in vec.items() if off <= g < off + mod.dim}
             if part:
-                image = mod.apply_root(self.alg, root, part)
+                image = mod.apply_root(self.decomposition, root, part)
                 out.update((off + t, c) for t, c in image.items())
         return out
 
 
 def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
-    alg = build_chevalley(ctx.rs)
+    decomposition = build_chevalley(ctx.rs)
     modules = [build_irrep(ctx.rs, lam, dim_cap=dim_cap) for lam in ctx.basis]
     offsets = []
     total = 0
@@ -59,14 +64,12 @@ def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
         total += mod.dim
     # basis index 0 of each module is its highest vector
     x0 = {off: Fraction(1) for off in offsets}
-    model = AmbientModel(ctx, alg, modules, offsets, total, x0, {}, ids_at)
+    gx0 = {(0,) * ctx.n: [{off: Fraction(1)} for off in offsets]}
+    model = AmbientModel(ctx, decomposition, modules, offsets, total, x0, gx0, ids_at)
     f_perp = set(ctx.f_perp)
-    for k, off in enumerate(offsets):
-        model.gx0_vectors[("hw", k)] = {off: Fraction(1)}
     for beta in positive_roots(ctx.rs):
-        if beta in f_perp:
-            continue
-        model.gx0_vectors[("low", beta)] = model.apply_root(neg(beta), x0)
+        if beta not in f_perp:
+            gx0[beta] = [model.apply_root(neg(beta), x0)]
     return model
 
 
@@ -97,14 +100,6 @@ def invariant_quotient_weights(model: AmbientModel) -> dict:
     return out
 
 
-def _gx0_piece(model: AmbientModel, gamma_root: tuple) -> list:
-    """Basis of the twisted-weight-gamma part of g.x0."""
-    if all(c == 0 for c in gamma_root):
-        return [model.gx0_vectors[("hw", k)] for k in range(len(model.modules))]
-    vec = model.gx0_vectors.get(("low", gamma_root))
-    return [vec] if vec is not None else []
-
-
 def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
     """Vectors of twisted weight gamma, in the local coordinates of
     `model.ids_at[gamma]`, that every required operator sends into g.x0."""
@@ -122,10 +117,7 @@ def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
     equations = []
     cols = m
     for root in ops:
-        shifted = sub(gamma, root)
-        allowed = _gx0_piece(model, shifted) if (
-            all(c == 0 for c in shifted) or shifted in model.alg.root_set
-        ) else []
+        allowed = model.gx0.get(sub(gamma, root), [])
         touched: dict = {}
         for c, gid in enumerate(ids):
             for coord, val in model.apply_root(root, {gid: Fraction(1)}).items():
@@ -143,7 +135,7 @@ def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
         rows.append(row)
     kernel = linalg.nullspace(rows, cols)
     solution = linalg.independent_subset([kv[:m] for kv in kernel if any(kv[:m])])
-    boundary = [[vec.get(gid, Fraction(0)) for gid in ids] for vec in _gx0_piece(model, gamma)]
+    boundary = [[vec.get(gid, Fraction(0)) for gid in ids] for vec in model.gx0.get(gamma, [])]
     return InvariantSpace(gamma=gamma, ids=ids, solution_basis=solution, boundary=boundary)
 
 
@@ -168,7 +160,6 @@ def codim1_orbit_weights(ctx: WeightMonoidContext) -> frozenset:
 @dataclass
 class OracleReport:
     weights: dict           # gamma (root coords) -> dimension (all 1 if clean)
-    flagged: list           # gammas with dimension >= 2 (theorem violation)
 
     def weight_coords(self) -> set:
         return set(self.weights)
@@ -185,7 +176,6 @@ def oracle_tangent_weights(model: AmbientModel,
         quotient = invariant_quotient_weights(model)
     codim1 = codim1_orbit_weights(ctx)
     weights = {}
-    flagged = []
     for gamma, space in sorted(quotient.items()):
         coeffs = ctx.in_lattice_root(gamma)
         surviving = space.solution_basis
@@ -204,8 +194,6 @@ def oracle_tangent_weights(model: AmbientModel,
             if not surviving:
                 break
         dim = len(linalg.reduce_mod(space.boundary, surviving))
-        if dim >= 2:
-            flagged.append(gamma)
         if dim >= 1:
             weights[gamma] = dim
-    return OracleReport(weights=weights, flagged=flagged)
+    return OracleReport(weights=weights)

@@ -7,10 +7,9 @@ tuples of fundamental-weight coefficients, so that the pairing of the i-th
 simple coroot with a weight is just coordinate i.
 
 A `RootSystem` memoises the weight of each root vector it is asked about
-(`root_to_weight`, which `pairing` reads) and the sandwich bounds of each
-spherical root (`sphroots.compatible_with_sp`), both filled lazily.  The
-memos are not part of equality or hashing, so they leave the keys of the
-caches keyed on a root system alone.
+(`root_to_weight`, which `pairing` reads), filled lazily.  The memo is not
+part of equality or hashing, so it leaves the keys of the caches keyed on a
+root system alone.
 """
 
 from __future__ import annotations
@@ -107,9 +106,6 @@ class RootSystem:
     # root vector -> its weight; outside equality, hashing and repr
     _weights: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
-    # spherical root vector -> the bounds of `sphroots.compatible_with_sp`
-    _sp_bounds: dict = field(default_factory=dict, init=False, compare=False,
-                             hash=False, repr=False)
     # column j of the Cartan matrix as its nonzero (i, entry) pairs: a_j and
     # its Dynkin neighbours
     _columns: tuple = field(init=False, compare=False, hash=False, repr=False)

@@ -3,7 +3,9 @@
 Every catalog element is supported on a subdiagram of one of the rank-one
 support shapes below, with fixed coefficients once the support is numbered
 like Bourbaki.  Orthogonal pairs range over all pairs of orthogonal simple
-roots, including pairs across product components.
+roots, including pairs across product components.  Each catalog root
+carries the two sandwich bounds of `compatible_with_sp`, computed once when
+the catalog is built.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class SphericalRoot:
     coords: tuple            # simple-root coefficients, length = rank
     kind: str
     support: frozenset
-    labeling: tuple          # Bourbaki position -> global simple-root index
+    sp_lower: frozenset      # the sandwich bounds of `compatible_with_sp`
+    sp_upper: frozenset
 
     @property
     def simple_index(self) -> int:
@@ -121,9 +124,16 @@ def spherical_root_catalog(rs: RootSystem) -> tuple:
             coords[labeling[pos]] = coeff
         key = tuple(coords)
         if key not in roots:
-            roots[key] = SphericalRoot(
-                coords=key, kind=kind, support=support(key), labeling=labeling
-            )
+            # the simple roots pairing to zero with the root, globally and
+            # inside its support; the B-type sum drops its short end node
+            # from both, the C-type shape its first node from the lower one
+            upper = frozenset(i for i, x in enumerate(rs.root_to_weight(key)) if x == 0)
+            lower = upper & support(key)
+            if kind == KIND_BN_SUM:
+                lower, upper = lower - {labeling[-1]}, upper - {labeling[-1]}
+            elif kind == KIND_CN:
+                lower = lower - {labeling[0]}
+            roots[key] = SphericalRoot(key, kind, support(key), lower, upper)
 
     for i in range(n):
         emit(KIND_SIMPLE, (i,), (1,))
@@ -138,26 +148,8 @@ def spherical_root_catalog(rs: RootSystem) -> tuple:
     return tuple(sorted(roots.values(), key=lambda r: r.coords))
 
 
-def compatible_with_sp(rs: RootSystem, root: SphericalRoot, sp: Iterable[int]) -> bool:
+def compatible_with_sp(root: SphericalRoot, sp: Iterable[int]) -> bool:
     """Sandwich test: the simple roots pairing to zero with the root, inside
-    the support on the left and globally on the right, must bound sp.  The
-    B-type sum drops the short end node from both bounds, the C-type shape
-    drops its first node from the lower bound only.  The bounds are memoised
-    on the root system by root vector (the catalog holds one root per
-    vector)."""
-    bounds = rs._sp_bounds.get(root.coords)
-    if bounds is None:
-        bounds = rs._sp_bounds[root.coords] = _sp_bounds(rs, root)
-    lower, upper = bounds
-    return lower <= frozenset(sp) <= upper
-
-
-def _sp_bounds(rs: RootSystem, root: SphericalRoot) -> tuple:
-    zero_global = frozenset(i for i, x in enumerate(rs.root_to_weight(root.coords)) if x == 0)
-    zero_in_support = zero_global & root.support
-    if root.kind == KIND_BN_SUM:
-        short_end = root.labeling[-1]
-        return zero_in_support - {short_end}, zero_global - {short_end}
-    if root.kind == KIND_CN:
-        return zero_in_support - {root.labeling[0]}, zero_global
-    return zero_in_support, zero_global
+    the support on the left and globally on the right, must bound sp (see
+    `spherical_root_catalog` for the two shapes that drop a node)."""
+    return root.sp_lower <= frozenset(sp) <= root.sp_upper

@@ -8,12 +8,11 @@ coefficients by a dot product.
 
 When it is built, a context computes the data of each simple root a_i
 that the subset decision reads: the coroot restricted to F, the color
-functionals, the two color tokens, and the dual-cone data (rays and sign)
-of each token and coroot.  What is keyed by roots, which a walk meets by
-the thousand, fills three memos lazily for the context's lifetime: the
-lattice coefficients of each root vector, the value of each token on each
-root, and what the subset decisions read of each root
-(`adapted._member_facts`).
+functionals, and the dual-cone data (rays and sign) of each coroot and
+color functional, keyed by the functional.  What is keyed by roots, which
+a walk meets by the thousand, fills two memos lazily for the context's
+lifetime: the lattice coefficients of each root vector, and what the
+subset decisions read of each root (`adapted._member_facts`).
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def _cone(f: tuple) -> tuple:
 
 class WeightMonoidContext:
     """Immutable bundle: root system, free basis F, the data of each simple
-    root, and the three memos of the subset decision."""
+    root, and the two memos of the subset decision."""
 
     def __init__(self, rs: RootSystem, basis: Sequence[Weight]):
         self.rs = rs
@@ -69,7 +68,6 @@ class WeightMonoidContext:
             raise DependentBasis("basis weights are linearly dependent over Q")
         self._cols = cols
         self._root_coeffs: dict = {}    # root vector -> lattice coefficients
-        self._token_values: dict = {}   # (i, sign, root vector) -> value
         self._member_facts: dict = {}   # root vector -> adapted._member_facts
         self.sp_gamma = frozenset(
             i for i in range(self.n) if all(w[i] == 0 for w in self.basis)
@@ -86,15 +84,9 @@ class WeightMonoidContext:
         self.coroots = tuple(tuple(w[i] for w in self.basis) for i in range(self.n))
         # colors[i] is the tuple of color functionals of a_i, None off the lattice.
         self.colors = tuple(self._color_functionals(i) for i in range(self.n))
-        # A simple member a_i of a root set carries two color tokens: (i, "+")
-        # with the first and (i, "-") with the last of its color functionals.
-        self.tokens: dict = {}          # (i, sign) -> functional
-        for i, colors in enumerate(self.colors):
-            if colors:
-                self.tokens[i, "+"], self.tokens[i, "-"] = colors[0], colors[-1]
-        # Cone data of each token, and of the coroot of i under (i, None).
-        self.cones = {(i, None): _cone(f) for i, f in enumerate(self.coroots)}
-        self.cones.update((t, _cone(f)) for t, f in self.tokens.items())
+        # Cone data of every coroot and color functional, keyed by the functional.
+        self.cones = {f: _cone(f) for f in self.coroots}
+        self.cones.update((f, _cone(f)) for colors in self.colors if colors for f in colors)
 
     # -- lattice membership -------------------------------------------------
 
@@ -133,16 +125,6 @@ class WeightMonoidContext:
                 f"simple root #{i} does not lie in the lattice generated by F"
             )
         return colors
-
-    def token_value(self, i: int, sign: str, v: RootVector) -> int:
-        """Value of the token (i, sign) on the lattice coefficients of the
-        root v, which must lie in the lattice."""
-        key = (i, sign, v)
-        value = self._token_values.get(key)
-        if value is None:
-            value = self._token_values[key] = sum(
-                a * c for a, c in zip(self.tokens[i, sign], self.in_lattice_root(v)))
-        return value
 
     def __repr__(self):
         return f"WeightMonoidContext({self.rs.components}, F={list(self.basis)})"

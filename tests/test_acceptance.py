@@ -125,7 +125,7 @@ def test_criterion_4_quotient_weight_properties(battery_analysis):
             if root is None:
                 violations.append((name, gamma, "not in catalog"))
                 continue
-            if not compatible_with_sp(ctx.rs, root, ctx.sp_gamma):
+            if not compatible_with_sp(root, ctx.sp_gamma):
                 violations.append((name, gamma, "incompatible"))
             if root.kind != "A1" and space.dimension > 1:
                 violations.append((name, gamma, f"dimension {space.dimension}"))

@@ -356,34 +356,29 @@ def _check_tables(ctx):
     definition."""
     rs = ctx.rs
     colors = [_reference_colors(ctx, i) for i in range(rs.rank)]
-    expected_tokens = {}
+    functionals = set()
     for i in range(rs.rank):
         coroot = tuple(w[i] for w in ctx.basis)
         assert ctx.coroots[i] == coroot
-        assert ctx.cones[i, None] == (_rays(coroot), True)
+        assert ctx.cones[coroot] == (_rays(coroot), True)
+        functionals.add(coroot)
         if colors[i] is None:
             with pytest.raises(LatticeMembershipError):
                 ctx.color_functionals(i)
             continue
         assert list(ctx.color_functionals(i)) == colors[i]
         assert all(type(v) is int for f in ctx.color_functionals(i) for v in f)
-        if colors[i]:
-            expected_tokens[i, "+"], expected_tokens[i, "-"] = colors[i][0], colors[i][-1]
-    assert ctx.tokens == expected_tokens
-    for t, f in expected_tokens.items():
-        assert ctx.cones[t] == (_rays(f), min(f) >= 0)
+        for f in colors[i]:
+            assert ctx.cones[f] == (_rays(f), min(f) >= 0)
+            functionals.add(f)
+    assert set(ctx.cones) == functionals
     for root in spherical_root_catalog(rs):
         weight = tuple(sum(a * c for a, c in zip(row, root.coords)) for row in rs.cartan)
         for i in range(rs.rank):
             assert rs.pairing(i, root.coords) == weight[i]
         coeffs = ctx.in_lattice(weight)
         assert ctx.in_lattice_root(root.coords) == coeffs
-        if coeffs is None:
-            continue
-        for (i, sign), f in expected_tokens.items():
-            value = sum(a * c for a, c in zip(f, coeffs))
-            got = ctx.token_value(i, sign, root.coords)
-            assert type(got) is int and got == value, (i, sign, root)
+        assert coeffs is None or all(type(c) is int for c in coeffs)
 
 
 def _table_contexts(name):

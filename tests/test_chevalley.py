@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from chevalley_reference import build_reference, coroot_weight_pairing
 
-from sphmoduli import build_chevalley, build_root_system
+from sphmoduli import build_chevalley, build_root_system, positive_roots
 from sphmoduli.rootsys import neg
 
 
@@ -93,11 +93,12 @@ def test_product_components_commute():
 ])
 def test_decomposition_matches_reference(name):
     rs = build_root_system(name)
-    alg = build_chevalley(rs)
+    decomposition = build_chevalley(rs)
     ref = build_reference(rs)
-    assert alg.root_set == ref.root_set
-    assert alg.decomposition.keys() == ref.decomposition.keys()
-    for gamma, (eps, delta, n) in alg.decomposition.items():
+    pos = positive_roots(rs)
+    assert set(pos) | {neg(r) for r in pos} == ref.root_set
+    assert decomposition.keys() == ref.decomposition.keys()
+    for gamma, (eps, delta, n) in decomposition.items():
         assert (eps, delta) == ref.decomposition[gamma]
         assert ref.constant(eps, delta) == n
         assert ref.constant(neg(eps), neg(delta)) == -n

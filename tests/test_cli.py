@@ -99,7 +99,7 @@ def test_oracle_disagreement_exits_nonzero(capsys, monkeypatch):
 
     monkeypatch.setattr(
         cli.oracle, "oracle_tangent_weights",
-        lambda model, quotient=None: OracleReport(weights={}, flagged=[]),
+        lambda model, quotient=None: OracleReport(weights={}),
     )
     status, out = run_cli(
         capsys, "analyze", "--group", "A1", "--weights", "[[2]]",

@@ -123,7 +123,7 @@ def test_root_operator_commutator_is_coroot_action(name, lam):
     alg = build_chevalley(rs)
     ref = build_reference(rs)
     mod = build_irrep(rs, lam)
-    roots = sorted(alg.root_set)
+    roots = sorted(ref.root_set)
     for a in roots:
         for b in roots:
             s = tuple(x + y for x, y in zip(a, b))
@@ -133,7 +133,7 @@ def test_root_operator_commutator_is_coroot_action(name, lam):
                 if not any(s):
                     scale = coroot_weight_pairing(rs, a, mod.weights[idx])
                     expected = {idx: scale} if scale else {}
-                elif s in alg.root_set:
+                elif s in ref.root_set:
                     n = ref.constant(a, b)
                     expected = {t: n * c for t, c in mod.apply_root(alg, s, v).items()}
                 else:

@@ -29,7 +29,6 @@ def crossed_lines_model(crossed_lines):
 def test_crossed_lines_oracle_weights(crossed_lines, crossed_lines_model):
     rep = oracle_tangent_weights(crossed_lines_model)
     assert rep.weights == {(1, 0): 1, (0, 2): 1}
-    assert rep.flagged == []
     assert rep.weight_coords() == tangent_space(crossed_lines).weight_coords()
 
 
@@ -75,7 +74,7 @@ def test_base_point_orbit_basis(crossed_lines, crossed_lines_model):
     def dense(vec):
         return [vec.get(t, Fraction(0)) for t in range(model.dim)]
 
-    basis = list(model.gx0_vectors.values())
+    basis = [vec for vecs in model.gx0.values() for vec in vecs]
     rows = [dense(v) for v in basis]
     assert linalg.rank(rows) == len(basis)
     expected = crossed_lines.r + len(
@@ -89,7 +88,7 @@ def test_base_point_orbit_basis(crossed_lines, crossed_lines_model):
     for i in range(crossed_lines.rs.rank):
         h_img = [Fraction(0)] * model.dim
         for k, lam in enumerate(crossed_lines.basis):
-            for t, c in model.gx0_vectors[("hw", k)].items():
+            for t, c in model.gx0[(0,) * crossed_lines.rs.rank][k].items():
                 h_img[t] += lam[i] * c
         assert not linalg.Echelon(rows).add(h_img)
 
@@ -101,7 +100,7 @@ def _quotient_properties(ctx):
     for gamma, space in quot.items():
         root = catalog.get(gamma)
         assert root is not None, f"{gamma} not in the catalog"
-        assert compatible_with_sp(ctx.rs, root, ctx.sp_gamma)
+        assert compatible_with_sp(root, ctx.sp_gamma)
         if root.kind != "A1":
             assert space.dimension <= 1
         else:
@@ -129,7 +128,7 @@ def test_simple_root_quotient_dimension_counts_nonorthogonal_weights():
     # tangent space (it is cut to at most one dimension)
     rep = oracle_tangent_weights(model)
     assert rep.weights.get((1, 0, 0), 0) <= 1
-    assert rep.flagged == []
+    assert all(d == 1 for d in rep.weights.values())
 
 
 def test_extension_filter_strictness(crossed_lines, crossed_lines_model):
@@ -246,3 +245,23 @@ def test_simple_tangent_weights_necessary_conditions(battery):
             assert sum(1 for lam in ctx.basis if lam[i] != 0) >= 2
             coeffs = ctx.in_lattice_root(root.coords)
             assert all(c <= 1 for c in coeffs)
+
+
+@pytest.mark.parametrize("group,basis", [
+    ("A1xA1", [(2, 0), (4, 2)]),      # the crossed lines: f_perp is empty
+    ("B3", [(1, 0, 0), (0, 0, 1)]),
+    ("G2", [(1, 0)]),
+])
+def test_gx0_keyed_by_twisted_weight(group, basis):
+    # g.x0 sits at the zero weight (the highest vectors, one per summand) and
+    # at each positive root beta outside f_perp (X_-beta.x0), and nowhere else
+    ctx = build_context(build_root_system(group), basis)
+    model = build_model(ctx)
+    zero = (0,) * ctx.n
+    outside = {beta for beta in positive_roots(ctx.rs) if beta not in set(ctx.f_perp)}
+    assert bool(ctx.f_perp) == (group != "A1xA1")
+    assert set(model.gx0) == {zero} | outside
+    for gamma, vecs in model.gx0.items():
+        assert len(vecs) == (ctx.r if gamma == zero else 1)
+        for vec in vecs:
+            assert vec and set(vec) <= set(model.ids_at[gamma]), gamma

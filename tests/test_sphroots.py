@@ -91,7 +91,7 @@ def _root(rs_name, coords):
 def test_compat_upper_bound_attained():
     rs, r = _root("A3", (1, 2, 1))
     full = {i for i in range(rs.rank) if rs.pairing(i, r.coords) == 0}
-    assert compatible_with_sp(rs, r, full)
+    assert compatible_with_sp(r, full)
 
 
 def test_compat_b3_sum():
@@ -99,41 +99,73 @@ def test_compat_b3_sum():
     assert rs.pairing(0, r.coords) == 1
     assert rs.pairing(1, r.coords) == 0
     assert rs.pairing(2, r.coords) == 0
-    assert compatible_with_sp(rs, r, {1})
-    assert not compatible_with_sp(rs, r, set())        # lower bound broken
-    assert not compatible_with_sp(rs, r, {1, 2})       # short end excluded
+    assert compatible_with_sp(r, {1})
+    assert not compatible_with_sp(r, set())        # lower bound broken
+    assert not compatible_with_sp(r, {1, 2})       # short end excluded
 
 
 def test_compat_simple_root_trivial():
     rs, r = _root("A1", (1,))
-    assert compatible_with_sp(rs, r, set())
+    assert compatible_with_sp(r, set())
 
 
 def test_compat_b2_sum_needs_empty_parabolic():
     rs, r = _root("B2", (1, 1))
-    assert compatible_with_sp(rs, r, set())
-    assert not compatible_with_sp(rs, r, {1})
+    assert compatible_with_sp(r, set())
+    assert not compatible_with_sp(r, {1})
 
 
 def test_compat_cn_drops_first_from_lower_bound_only():
     rs, r = _root("C3", (1, 2, 1))
     assert {i for i in r.support if rs.pairing(i, r.coords) == 0} == {0, 2}
-    assert compatible_with_sp(rs, r, {2})       # first node not required
-    assert compatible_with_sp(rs, r, {0, 2})    # but still allowed above
-    assert not compatible_with_sp(rs, r, set())
-    assert not compatible_with_sp(rs, r, {1, 2})
+    assert compatible_with_sp(r, {2})       # first node not required
+    assert compatible_with_sp(r, {0, 2})    # but still allowed above
+    assert not compatible_with_sp(r, set())
+    assert not compatible_with_sp(r, {1, 2})
 
 
 def test_compat_not_monotone():
     # one witness where shrinking sp breaks it and one where growing does
     rs, r = _root("B3", (1, 1, 1))
-    assert not compatible_with_sp(rs, r, set())
-    assert compatible_with_sp(rs, r, {1})
-    assert not compatible_with_sp(rs, r, {0, 1})
+    assert not compatible_with_sp(r, set())
+    assert compatible_with_sp(r, {1})
+    assert not compatible_with_sp(r, {0, 1})
 
 
 def test_bn_double_uses_general_case():
     rs, r = _root("B2", (2, 2))
     # no exclusion: zero set in support is {a2}
-    assert compatible_with_sp(rs, r, {1})
-    assert not compatible_with_sp(rs, r, set())
+    assert compatible_with_sp(r, {1})
+    assert not compatible_with_sp(r, set())
+
+
+@pytest.mark.parametrize("name", ["A3xA1", "A4", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "E6"])
+def test_catalog_sp_bounds_match_definition(name):
+    # The simple roots pairing to zero with the root, inside its support and
+    # globally, recomputed from the Cartan matrix.  The B-type sum drops its
+    # short end from both bounds, the C-type shape its first node from the
+    # lower one.  Both nodes are read off the Cartan entries of the support:
+    # the short end of B_k is the node whose row holds the -2, and the first
+    # node of C_k is the end (one neighbour in the support) away from the -2.
+    rs = build_root_system(name)
+    n = rs.rank
+    kinds = set()
+    for root in spherical_root_catalog(rs):
+        supp = [j for j in range(n) if root.coords[j]]
+        pairing = [sum(rs.cartan[i][j] * root.coords[j] for j in range(n)) for i in range(n)]
+        upper = {i for i in range(n) if pairing[i] == 0}
+        lower = upper & set(supp)
+        if root.kind == KIND_BN_SUM:
+            (short,) = {j for j in supp for i in supp if rs.cartan[j][i] == -2}
+            lower, upper = lower - {short}, upper - {short}
+        elif root.kind == KIND_CN:
+            ends = [j for j in supp if sum(1 for i in supp if i != j and rs.cartan[j][i]) == 1]
+            (first,) = [j for j in ends
+                        if all(-2 not in (rs.cartan[i][j], rs.cartan[j][i]) for i in supp)]
+            lower -= {first}
+        kinds.add(root.kind)
+        assert (root.sp_lower, root.sp_upper) == (lower, upper), root
+    if name[0] in "BF":
+        assert KIND_BN_SUM in kinds
+    if name[0] in "CF":
+        assert KIND_CN in kinds

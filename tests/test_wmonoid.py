@@ -37,9 +37,10 @@ def test_sl2_color_functionals(sl2_even):
 
 def test_color_functionals_requires_lattice_membership():
     # neither simple root lies in the lattice: the context still builds, with
-    # no color tokens, and asking for the colors raises
+    # no color functionals, and asking for the colors raises
     ctx = build_context(build_root_system("A2"), [(1, 0)])
-    assert ctx.tokens == {}
+    assert ctx.colors == (None, None)
+    assert set(ctx.cones) == set(ctx.coroots)
     for i in range(2):
         with pytest.raises(LatticeMembershipError):
             ctx.color_functionals(i)

@@ -20,8 +20,12 @@ A third line digests the irreducible modules of `MODULES`: `weights`,
 `str(Fraction(c))`, so an int and an equal Fraction digest alike.
 
 A fourth line digests the root operators on the same modules: the column
-`mod.column(alg, root, idx)` for every root and every basis vector, the
-non-simple ones built from the bracket decomposition, written the same way.
+`mod.column(build_chevalley(rs), root, idx)` for every root (the positive
+roots and their negatives, sorted) and every basis vector, the non-simple
+ones built from the bracket decomposition, written the same way.  The tool
+reads nothing of what `build_chevalley` returns but passes it on, so it
+runs on source roots where that is a wrapper object and where it is the
+decomposition dict.
 
 A fifth line digests the subset walk: the records of
 `enumerate_n_adapted_subsets` (the root vectors of each accepted set and its
@@ -199,11 +203,12 @@ def column_digest() -> str:
     count = 0
     for group, lam in MODULES:
         rs = sm.build_root_system(group)
-        alg = sm.build_chevalley(rs)
+        decomposition = sm.build_chevalley(rs)
         mod = sm.build_irrep(rs, lam)
-        for root in sorted(alg.root_set):
+        pos = sm.positive_roots(rs)
+        for root in sorted(pos + tuple(tuple(-c for c in r) for r in pos)):
             for idx in range(mod.dim):
-                col = [(t, str(Fraction(c))) for t, c in mod.column(alg, root, idx)]
+                col = [(t, str(Fraction(c))) for t, c in mod.column(decomposition, root, idx)]
                 digest.update(repr((group, lam, root, idx, col)).encode())
                 digest.update(b"\0")
                 count += 1
