@@ -6,7 +6,10 @@ evaluated on the candidate vectors, and its rank cuts out the part that
 survives in the irreducible quotient.  Basis vectors are Chevalley
 monomials f_i1 ... f_ik v+, on which the form is integral, so Gram matrices
 hold ints.  They are tagged with their weight, so the torus acts diagonally
-by construction.
+by construction.  A candidate weight is tested first against the simple-root
+string through its parent, whose upper part is already built; at a weight
+that is not a weight of the module, every candidate is zero and no Gram
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -191,6 +194,18 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
         start = mod.dim
         for mu in sorted(by_weight):
             cands = by_weight[mu]
+            # mu = nu - a_i is a weight exactly when the a_i-string through nu
+            # reaches below nu: <nu, a_i^v> + q >= 1, where q counts the
+            # weights nu + a_i, nu + 2a_i, ..., all built at smaller depths.
+            # At a non-weight every candidate is zero, with no Gram work.
+            i, parent = cands[0]
+            up, q = mod.weights[parent], 0
+            while (up := tuple(x + y for x, y in zip(up, alpha_w[i]))) in mod.gram:
+                q += 1
+            if mod.weights[parent][i] + q < 1:
+                for i, parent in cands:
+                    mod.lower[i][parent] = []
+                continue
             m = len(cands)
             # raised[b][k] = e_k f_j w = f_j (e_k w) + [k == j] <a_k^v, wt w> w for b = (j, w),
             # as (d, coefficients times d) on the kept basis at mu + a_k; zero unless k in ks

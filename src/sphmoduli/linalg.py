@@ -105,10 +105,6 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     return out, pivots
 
 
-def rank(m: Mat) -> int:
-    return len(Echelon(m))
-
-
 def solve_unique(a: Mat, b: Sequence) -> Optional[Vec]:
     """Solve a*x = b when the columns of `a` are independent.
 

@@ -10,8 +10,12 @@ codimension-one orbit degenerations x0 - v_lambda.
 
 The model keys g.x0 by twisted weight: the zero weight holds the highest
 vectors, and each positive root beta outside `f_perp` holds X_-beta.x0.
-Every other twisted weight has no part in g.x0.  Root operators are built
-from the bracket decomposition of `chevalley.build_chevalley`.
+Every other twisted weight has no part in g.x0.  `AmbientModel.gx0_at`
+builds each of these vectors when it is first read, so a root that no
+solve meets costs nothing.  The quotient is solved only at twisted weights
+of height at most ht theta + 1, the most an invariant class can have (see
+`invariant_quotient_weights`).  Root operators are built from the bracket
+decomposition of `chevalley.build_chevalley`.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ class AmbientModel:
     offsets: list
     dim: int
     x0: dict               # sparse vectors of V: {global id: coeff}
-    gx0: dict              # twisted weight -> the g.x0 vectors at that weight
+    gx0: dict              # twisted weight -> the g.x0 vectors there, filled by `gx0_at`
     ids_at: dict           # twisted weight (simple-root coords) -> global ids
+    lowering: frozenset    # positive roots beta with X_-beta.x0 != 0: those outside f_perp
 
     def apply_root(self, root: tuple, vec: dict) -> dict:
         """The operator of a root on a sparse vector of V, module by module;
@@ -49,6 +54,16 @@ class AmbientModel:
                 image = mod.apply_root(self.decomposition, root, part)
                 out.update((off + t, c) for t, c in image.items())
         return out
+
+    def gx0_at(self, beta: tuple) -> list:
+        """The g.x0 vectors of twisted weight beta, built on first request:
+        [X_-beta.x0] at a positive root outside `f_perp`, the highest
+        vectors at zero (seeded by `build_model`), and none elsewhere."""
+        vecs = self.gx0.get(beta)
+        if vecs is None:
+            vecs = [self.apply_root(neg(beta), self.x0)] if beta in self.lowering else []
+            self.gx0[beta] = vecs
+        return vecs
 
 
 def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
@@ -65,12 +80,8 @@ def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
     # basis index 0 of each module is its highest vector
     x0 = {off: Fraction(1) for off in offsets}
     gx0 = {(0,) * ctx.n: [{off: Fraction(1)} for off in offsets]}
-    model = AmbientModel(ctx, decomposition, modules, offsets, total, x0, gx0, ids_at)
-    f_perp = set(ctx.f_perp)
-    for beta in positive_roots(ctx.rs):
-        if beta not in f_perp:
-            gx0[beta] = [model.apply_root(neg(beta), x0)]
-    return model
+    lowering = frozenset(positive_roots(ctx.rs)) - frozenset(ctx.f_perp)
+    return AmbientModel(ctx, decomposition, modules, offsets, total, x0, gx0, ids_at, lowering)
 
 
 @dataclass
@@ -85,14 +96,28 @@ class InvariantSpace:
         return len(linalg.reduce_mod(self.boundary, self.solution_basis))
 
 
+def _height_cap(rs) -> int:
+    """ht theta + 1, theta the highest root (the highest over the simple
+    factors): no invariant class of the quotient sits above this height."""
+    return max(sum(beta) for beta in positive_roots(rs)) + 1
+
+
 def invariant_quotient_weights(model: AmbientModel) -> dict:
     """For each candidate twisted weight, the subspace of the quotient of V
     by g.x0 fixed by the isotropy algebra of x0, keyed by the weight's
-    simple-root coordinates.  Only nonzero spaces are returned."""
+    simple-root coordinates.  Only nonzero spaces are returned.
+
+    Weights above `_height_cap` are skipped unsolved.  A nonzero vector v
+    of twisted weight gamma != 0 is not a highest vector, since each
+    summand of V has its highest line at twisted weight 0; so some e_i v is
+    nonzero.  If v is invariant, e_i v lies in g.x0 at twisted weight
+    gamma - a_i, which must then be 0 or a positive root: ht gamma is at
+    most ht theta + 1."""
     ctx = model.ctx
+    cap = _height_cap(ctx.rs)
     out = {}
     for gamma in sorted(model.ids_at):
-        if not any(gamma) or ctx.in_lattice_root(gamma) is None:
+        if not any(gamma) or sum(gamma) > cap or ctx.in_lattice_root(gamma) is None:
             continue
         space = _invariant_space(model, gamma)
         if space.dimension > 0:
@@ -117,7 +142,7 @@ def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
     equations = []
     cols = m
     for root in ops:
-        allowed = model.gx0.get(sub(gamma, root), [])
+        allowed = model.gx0_at(sub(gamma, root))
         touched: dict = {}
         for c, gid in enumerate(ids):
             for coord, val in model.apply_root(root, {gid: Fraction(1)}).items():
@@ -135,7 +160,7 @@ def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
         rows.append(row)
     kernel = linalg.nullspace(rows, cols)
     solution = linalg.independent_subset([kv[:m] for kv in kernel if any(kv[:m])])
-    boundary = [[vec.get(gid, Fraction(0)) for gid in ids] for vec in model.gx0.get(gamma, [])]
+    boundary = [[vec.get(gid, Fraction(0)) for gid in ids] for vec in model.gx0_at(gamma)]
     return InvariantSpace(gamma=gamma, ids=ids, solution_basis=solution, boundary=boundary)
 
 

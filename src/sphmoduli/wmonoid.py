@@ -6,7 +6,14 @@ the dual basis of F as its ray generators.  A functional on the lattice is
 the tuple of its integer values on F, and it is evaluated on lattice
 coefficients by a dot product.
 
-When it is built, a context computes the data of each simple root a_i
+Lattice membership needs no elimination per weight.  When it is built, a
+context reduces [B | I_n] once, B the n x r matrix with the weights of F as
+columns, and keeps the right block E, with E.B = [I_r; 0], as integer rows
+over one denominator d.  A weight w is in the lattice exactly when the last
+n - r rows of d.E vanish on it and the first r are divisible by d; the
+quotients are its coefficients.
+
+When it is built, a context also computes the data of each simple root a_i
 that the subset decision reads: the coroot restricted to F, the color
 functionals, and the dual-cone data (rays and sign) of each coroot and
 color functional, keyed by the functional.  What is keyed by roots, which
@@ -17,7 +24,7 @@ subset decisions read of each root (`adapted._member_facts`).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -63,10 +70,17 @@ class WeightMonoidContext:
                 raise ValueError(f"basis weight #{k} has length {len(w)}, expected {self.n}")
             if not is_dominant(w):
                 raise NonDominantWeight(k, w)
-        cols = [[Fraction(w[i]) for w in self.basis] for i in range(self.n)]
-        if self.r and linalg.rank(cols) < self.r:
+        # One reduction of [B | I_n], B the n x r matrix with the weights of F
+        # as columns, gives E (its right block) with E.B = [I_r; 0]; F is
+        # independent exactly when the first r columns are pivots.
+        red, pivots = linalg.rref([[w[i] for w in self.basis] + [int(j == i) for j in range(self.n)]
+                                   for i in range(self.n)])
+        if pivots[:self.r] != list(range(self.r)):
             raise DependentBasis("basis weights are linearly dependent over Q")
-        self._cols = cols
+        # d.E as integer rows
+        self._denominator = d = lcm(*(x.denominator for row in red for x in row[self.r:]))
+        self._inverse = tuple(tuple(x.numerator * (d // x.denominator) for x in row[self.r:])
+                              for row in red)
         self._root_coeffs: dict = {}    # root vector -> lattice coefficients
         self._member_facts: dict = {}   # root vector -> adapted._member_facts
         self.sp_gamma = frozenset(
@@ -91,11 +105,16 @@ class WeightMonoidContext:
     # -- lattice membership -------------------------------------------------
 
     def in_lattice(self, w: Weight) -> Optional[tuple]:
-        """Integer coefficients c with sum(c_k * F_k) = w, or None."""
-        sol = linalg.solve_unique(self._cols, list(w))
-        if sol is None or any(x.denominator != 1 for x in sol):
+        """Integer coefficients c with sum(c_k * F_k) = w, or None.  As
+        E.B = [I_r; 0], w = B.c exactly when d.c_k = (d.E).w for k < r and
+        (d.E).w vanishes below."""
+        if len(w) != self.n:
+            raise ValueError(f"weight {tuple(w)} has length {len(w)}, expected {self.n}")
+        d, r = self._denominator, self.r
+        values = [sum(a * b for a, b in zip(row, w)) for row in self._inverse]
+        if any(values[r:]) or any(v % d for v in values[:r]):
             return None
-        return tuple(int(x) for x in sol)
+        return tuple(v // d for v in values[:r])
 
     def in_lattice_root(self, v: RootVector) -> Optional[tuple]:
         if v not in self._root_coeffs:

@@ -17,6 +17,7 @@ from sphmoduli import (
     tangent_space,
 )
 from sphmoduli import linalg
+from sphmoduli.oracle import _height_cap, _invariant_space
 from sphmoduli.rootsys import neg
 from sphmoduli.wmonoid import DependentBasis
 
@@ -74,9 +75,11 @@ def test_base_point_orbit_basis(crossed_lines, crossed_lines_model):
     def dense(vec):
         return [vec.get(t, Fraction(0)) for t in range(model.dim)]
 
-    basis = [vec for vecs in model.gx0.values() for vec in vecs]
+    zero = (0,) * crossed_lines.rs.rank
+    basis = [vec for gamma in (zero, *positive_roots(crossed_lines.rs))
+             for vec in model.gx0_at(gamma)]
     rows = [dense(v) for v in basis]
-    assert linalg.rank(rows) == len(basis)
+    assert len(linalg.Echelon(rows)) == len(basis)
     expected = crossed_lines.r + len(
         [b for b in positive_roots(crossed_lines.rs) if b not in set(crossed_lines.f_perp)]
     )
@@ -88,7 +91,7 @@ def test_base_point_orbit_basis(crossed_lines, crossed_lines_model):
     for i in range(crossed_lines.rs.rank):
         h_img = [Fraction(0)] * model.dim
         for k, lam in enumerate(crossed_lines.basis):
-            for t, c in model.gx0[(0,) * crossed_lines.rs.rank][k].items():
+            for t, c in model.gx0_at(zero)[k].items():
                 h_img[t] += lam[i] * c
         assert not linalg.Echelon(rows).add(h_img)
 
@@ -258,10 +261,47 @@ def test_gx0_keyed_by_twisted_weight(group, basis):
     ctx = build_context(build_root_system(group), basis)
     model = build_model(ctx)
     zero = (0,) * ctx.n
-    outside = {beta for beta in positive_roots(ctx.rs) if beta not in set(ctx.f_perp)}
+    pos = positive_roots(ctx.rs)
+    outside = {beta for beta in pos if beta not in set(ctx.f_perp)}
     assert bool(ctx.f_perp) == (group != "A1xA1")
-    assert set(model.gx0) == {zero} | outside
-    for gamma, vecs in model.gx0.items():
-        assert len(vecs) == (ctx.r if gamma == zero else 1)
+    for gamma in sorted({zero, *pos, *map(neg, pos), *model.ids_at}):
+        vecs = model.gx0_at(gamma)
+        assert bool(vecs) == (gamma == zero or gamma in outside), gamma
+        if vecs:
+            assert len(vecs) == (ctx.r if gamma == zero else 1)
         for vec in vecs:
             assert vec and set(vec) <= set(model.ids_at[gamma]), gamma
+
+
+def _assert_height_cap_drops_nothing(ctx):
+    """Solve the invariant space at every nonzero lattice weight of the
+    model: none above `_height_cap` is nonzero, and the capped quotient is
+    the uncapped one.  Returns the number of weights above the cap."""
+    model = build_model(ctx)
+    cap = _height_cap(ctx.rs)
+    dims = {gamma: _invariant_space(model, gamma).dimension for gamma in sorted(model.ids_at)
+            if any(gamma) and ctx.in_lattice_root(gamma) is not None}
+    above = [gamma for gamma in dims if sum(gamma) > cap]
+    for gamma in above:
+        assert dims[gamma] == 0, (ctx, gamma)
+    quot = invariant_quotient_weights(model)
+    assert {gamma: space.dimension for gamma, space in quot.items()} == \
+        {gamma: d for gamma, d in dims.items() if d}, ctx
+    return len(above)
+
+
+def test_height_cap_drops_nothing_on_the_battery(battery):
+    assert sum(_assert_height_cap_drops_nothing(ctx) for _, ctx in battery) > 0
+
+
+@pytest.mark.parametrize("group,nodes", [
+    ("A4", (1, 2, 3, 4)),
+    ("B4", (1, 2, 3, 4)),
+    ("C4", (1, 2, 3, 4)),
+    ("D4", (1, 2, 3, 4)),
+    ("F4", (1, 4)),
+    ("F4", (3,)),
+])
+def test_height_cap_drops_nothing_beyond_rank_three(group, nodes):
+    rs = build_root_system(group)
+    assert _assert_height_cap_drops_nothing(build_context(rs, _fundamentals(rs.rank, nodes))) > 0

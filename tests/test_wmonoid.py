@@ -10,7 +10,9 @@ from sphmoduli import (
     build_context,
     build_root_system,
     positive_roots,
+    spherical_root_catalog,
 )
+from wmonoid_reference import reference_in_lattice
 
 
 def test_crossed_lines_context_basics(crossed_lines):
@@ -138,3 +140,56 @@ def test_empty_basis_context():
     assert ctx.in_lattice((0, 0, 0)) == ()
     assert ctx.in_lattice((1, 0, 0)) is None
     assert len(ctx.f_perp) == 9
+
+
+# Beside the criterion-2 battery: contexts with r < n, deep groups and the
+# empty basis, for the differential test of lattice membership.
+LATTICE_CONTEXTS = [
+    ("A3", [(1, 0, 1)]),
+    ("B3", [(0, 0, 2)]),
+    ("C3", [(0, 2, 0), (1, 0, 1)]),
+    ("G2", [(2, 1)]),
+    ("F4", [(1, 0, 0, 0), (0, 0, 0, 1)]),
+    ("E6", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0)]),
+    ("B3", []),
+    ("A2", []),
+]
+
+
+@pytest.fixture(scope="module")
+def lattice_contexts(battery):
+    named = [build_context(build_root_system(g), basis) for g, basis in LATTICE_CONTEXTS]
+    return [ctx for _, ctx in battery] + named
+
+
+def test_in_lattice_matches_reference_on_catalog_roots(lattice_contexts):
+    assert any(ctx.r < ctx.n for ctx in lattice_contexts)
+    assert any(ctx.r == 0 for ctx in lattice_contexts)
+    for ctx in lattice_contexts:
+        for root in spherical_root_catalog(ctx.rs):
+            w = ctx.rs.root_to_weight(root.coords)
+            expected = reference_in_lattice(ctx, w)
+            assert ctx.in_lattice(w) == expected, (ctx, root.coords)
+            assert ctx.in_lattice_root(root.coords) == expected
+        for lam in ctx.basis:
+            assert ctx.in_lattice(lam) == reference_in_lattice(ctx, lam)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_in_lattice_matches_reference_on_integer_weights(lattice_contexts, data):
+    ctx = data.draw(st.sampled_from(lattice_contexts))
+    w = data.draw(st.tuples(*[st.integers(-6, 6)] * ctx.n))
+    assert ctx.in_lattice(w) == reference_in_lattice(ctx, w)
+
+
+def test_in_lattice_matches_reference_in_the_crossed_lines(crossed_lines):
+    for w in ((1, 0), (2, 0), (0, 2), (3, 1), (4, 2), (-2, 2), (6, 2), (0, 0)):
+        assert crossed_lines.in_lattice(w) == reference_in_lattice(crossed_lines, w), w
+
+
+def test_in_lattice_rejects_a_weight_of_the_wrong_length(lattice_contexts):
+    for ctx in lattice_contexts:
+        for length in (ctx.n - 1, ctx.n + 1):
+            with pytest.raises(ValueError):
+                ctx.in_lattice((0,) * length)
