@@ -161,8 +161,6 @@ def tangent_space(ctx: WeightMonoidContext) -> TangentReport:
 
 @dataclass
 class SphericalSystemCheck:
-    sp: frozenset
-    sigma: tuple
     verdicts: dict = field(default_factory=dict)
 
     @property
@@ -216,7 +214,7 @@ def check_system_axioms(
     verdicts["Sigma1"] = _axiom_sigma1(rs, sigma)
     verdicts["Sigma2"] = _axiom_sigma2(rs, sigma)
     verdicts["S"] = all(compatible_with_sp(r, sp) for r in sigma)
-    return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts=verdicts)
+    return SphericalSystemCheck(verdicts=verdicts)
 
 
 def _axiom_sigma1(rs: RootSystem, sigma: Sequence[SphericalRoot]) -> bool:
@@ -321,7 +319,7 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     exits = {f.exit for f in facts}
     for tag in (EXIT_LATTICE, EXIT_COLOR_PAIR):
         if tag in exits:
-            return SphericalSystemCheck(sp=sp, sigma=sigma, verdicts={tag: False})
+            return SphericalSystemCheck(verdicts={tag: False})
 
     simple_positions = [k for k, r in enumerate(sigma) if r.kind == KIND_SIMPLE]
     tokens = [(k, sign) for k in simple_positions for sign in "+-"]

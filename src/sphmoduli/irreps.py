@@ -32,62 +32,56 @@ class DimensionBudgetExceeded(RuntimeError):
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """Product formula for the dimension of the irreducible module."""
-    d = rs.symmetrizer
-    dim = Fraction(1)
+    """Product formula for the dimension of the irreducible module, as one
+    integer quotient of (lam + rho, beta) by (rho, beta) over the positive
+    roots beta."""
+    num = den = 1
     for beta in positive_roots(rs):
-        num = sum(d[j] * beta[j] * (lam[j] + 1) for j in range(rs.rank))
-        den = sum(d[j] * beta[j] for j in range(rs.rank))
-        dim *= Fraction(num, den)
-    assert dim.denominator == 1
-    return int(dim)
-
-
-def weight_inner(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
-    """Invariant inner product of two weights in fundamental coordinates."""
-    broot = rs.weight_to_root(b)
-    return sum(
-        (Fraction(rs.symmetrizer[j]) * a[j] * broot[j] for j in range(rs.rank)),
-        Fraction(0),
-    )
+        num *= sum(d * b * (c + 1) for d, b, c in zip(rs.symmetrizer, beta, lam))
+        den *= sum(d * b for d, b in zip(rs.symmetrizer, beta))
+    return _integral(num, den)
 
 
 def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict:
-    """Weight multiplicities by downward recursion over weight strings."""
+    """Weight multiplicities by downward recursion over weight strings, in
+    integers.  A weight w pairs with a root-lattice vector b as
+    sum d_i w_i b_i, d the symmetrizer; for mu = lam - beta,
+    |lam + rho|^2 - |mu + rho|^2 is the pairing of 2(lam + rho) - A.beta
+    = lam + mu + 2 rho with beta."""
     lam = tuple(int(c) for c in lam)
-    pos = positive_roots(rs)
-    pos_w = [(rs.root_to_weight(b), sum(b)) for b in pos]
-    lam_rho = tuple(c + 1 for c in lam)
-    top = weight_inner(rs, lam_rho, lam_rho)
-    alpha_w = [rs.root_to_weight(a) for a in rs.simple_roots]
+    sym = rs.symmetrizer
+    # each positive root as (its weight, its root coordinates times d, its height)
+    pos = [(rs.root_to_weight(b), tuple(d * x for d, x in zip(sym, b)), sum(b))
+           for b in positive_roots(rs)]
     mult = {lam: 1}
-    depth = {lam: 0}
+    depth = {lam: tuple(0 for _ in lam)}   # weight mu -> its depth beta = lam - mu
     frontier = [lam]
     while frontier:
         candidates = {}
         for mu in frontier:
-            for a in alpha_w:
-                nu = tuple(m - x for m, x in zip(mu, a))
+            for a in rs.simple_roots:
+                nu = tuple(m - x for m, x in zip(mu, rs.root_to_weight(a)))
                 if nu not in mult:
-                    candidates[nu] = depth[mu] + 1
+                    candidates[nu] = tuple(b + x for b, x in zip(depth[mu], a))
         frontier = []
-        for mu in sorted(candidates):
-            mu_rho = tuple(m + 1 for m in mu)
-            den = top - weight_inner(rs, mu_rho, mu_rho)
+        for mu, beta in candidates.items():
+            den = sum(d * (c + m + 2) * b for d, c, m, b in zip(sym, lam, mu, beta))
             if den <= 0:
                 continue
-            total = Fraction(0)
-            for beta_w, height in pos_w:
-                for k in range(1, candidates[mu] // height + 1):
+            height = sum(beta)
+            total = 0
+            for beta_w, beta_d, beta_height in pos:
+                for k in range(1, height // beta_height + 1):
                     up = tuple(m + k * b for m, b in zip(mu, beta_w))
                     m_up = mult.get(up, 0)
                     if m_up:
-                        total += m_up * weight_inner(rs, up, beta_w)
-            m = 2 * total / den
-            assert m.denominator == 1 and m >= 0
+                        total += m_up * sum(u * b for u, b in zip(up, beta_d))
+            m = _integral(2 * total, den)
+            if m < 0:
+                raise ArithmeticError(f"negative multiplicity {m} at weight {mu}")
             if m > 0:
-                mult[mu] = int(m)
-                depth[mu] = candidates[mu]
+                mult[mu] = m
+                depth[mu] = beta
                 frontier.append(mu)
     return mult
 
@@ -163,7 +157,7 @@ def _integral(num: int, den: int) -> int:
     """num / den, which must be an integer: a remainder raises, never rounds."""
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"non-integral Gram matrix entry {Fraction(num, den)}")
+        raise ArithmeticError(f"non-integral quotient {Fraction(num, den)}")
     return q
 
 

@@ -1,20 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows whose entries are ints or Fractions.  Both
-kernels eliminate fraction-free: every row is first scaled by the lcm of
-its denominators to a primitive integer row, rows are combined by
+Matrices are lists of rows whose entries are ints or Fractions.  There is
+one elimination kernel, the incremental `Echelon`, and it is fraction-free:
+every row is first scaled by the lcm of its denominators to a primitive
+integer row (a row of ints skips that pass), rows are combined by
 cross-multiplication, and each result is divided by the gcd of its
-entries.  `rref` divides by its pivots only at the end, so it returns the
-same Fractions as Gauss-Jordan over the rationals (the reduced form is
-unique).  `rref` serves solves, kernels and intersections; the
-incremental `Echelon` serves rank and independence.
+entries.  `Echelon` serves rank and independence.  `rref` finishes an
+`Echelon` of its rows by back-substitution and divides by its pivots only
+at the end, so it returns the same Fractions as Gauss-Jordan over the
+rationals (the reduced form is unique); it serves kernels and
+intersections.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 Vec = list
 Mat = list
@@ -82,62 +84,25 @@ class Echelon:
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (matrix of Fractions, pivot column
-    indices)."""
-    rows = [_primitive(row) for row in m]
-    n = len(rows)
-    cols = len(rows[0]) if n else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], rows[r], c)
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
+    indices).  The kept rows of an `Echelon` of `m`, sorted by pivot, are
+    upper triangular; each pivot column is cleared from the rows above it,
+    from right to left, and every row is divided by its pivot."""
+    ech = Echelon(m)
+    cols = len(m[0]) if m else 0
+    order = sorted(range(len(ech)), key=ech.pivots.__getitem__)
+    rows = [ech.rows[k] for k in order]
+    pivots = [ech.pivots[k] for k in order]
+    for r in reversed(range(len(rows))):
+        for i in range(r):
+            if rows[i][pivots[r]]:
+                rows[i] = _eliminate(rows[i], rows[r], pivots[r])
     out = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(rows, pivots)]
-    out += [zeros(cols) for _ in range(n - r)]
+    out += [zeros(cols) for _ in range(len(m) - len(rows))]
     return out, pivots
-
-
-def solve_unique(a: Mat, b: Sequence) -> Optional[Vec]:
-    """Solve a*x = b when the columns of `a` are independent.
-
-    Returns the unique solution, or None when the system is inconsistent.
-    Raises ValueError if the columns are dependent (no unique solution).
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return [] if all(x == 0 for x in b) else None
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    if len(pivots) != cols:
-        raise ValueError("columns are linearly dependent")
-    x = zeros(cols)
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
 
 
 def nullspace(a: Mat, cols: int) -> list[Vec]:
     """Basis of {x : a*x = 0}, for `a` with `cols` columns."""
-    if cols == 0:
-        return []
-    if not a:
-        basis = []
-        for j in range(cols):
-            v = zeros(cols)
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
     red, pivots = rref(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -26,9 +25,9 @@ Weight = tuple      # integer fundamental-weight coefficients
 
 _TOKEN = re.compile(r"^([ABCDEFG])(\d+)$")
 
-# Smallest admissible rank per type; E is handled separately.
-_MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
-_MAX_RANK = {"F": 4, "G": 2}
+# Smallest and largest admissible rank per type; no largest for A to D.
+_MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
+_MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
 
 class RootSystemError(ValueError):
@@ -87,15 +86,8 @@ def symmetrizer_block(typ: str, rank: int) -> list[int]:
     raise RootSystemError(f"unknown type {typ!r}")
 
 
-def _validate_rank(typ: str, rank: int, token: str) -> None:
-    if typ == "E":
-        if rank not in (6, 7, 8):
-            raise RootSystemError(f"rank of E must be 6, 7 or 8: {token!r}")
-        return
-    lo = _MIN_RANK[typ]
-    hi = _MAX_RANK.get(typ, None)
-    if rank < lo or (hi is not None and rank > hi):
-        raise RootSystemError(f"invalid rank for type {typ}: {token!r}")
+def _rank_allowed(typ: str, rank: int) -> bool:
+    return _MIN_RANK[typ] <= rank <= _MAX_RANK.get(typ, rank)
 
 
 @dataclass(frozen=True)
@@ -141,16 +133,6 @@ class RootSystem:
             w = self._weights[v] = tuple(out)
         return w
 
-    def weight_to_root(self, w: Weight) -> tuple:
-        """Rational simple-root coordinates of a weight (the Cartan matrix
-        is invertible, so these always exist)."""
-        from . import linalg
-        if self.rank == 0:
-            return ()
-        a = [[Fraction(self.cartan[i][j]) for j in range(self.rank)]
-             for i in range(self.rank)]
-        return tuple(linalg.solve_unique(a, list(w)))
-
 
 def build_root_system(type_string: str) -> RootSystem:
     """Parse strings like "A1xA1" or "B3 G2" into a RootSystem."""
@@ -163,7 +145,8 @@ def build_root_system(type_string: str) -> RootSystem:
         if not m:
             raise RootSystemError(f"cannot parse token {token!r}")
         typ, rank = m.group(1), int(m.group(2))
-        _validate_rank(typ, rank, token)
+        if not _rank_allowed(typ, rank):
+            raise RootSystemError(f"invalid rank for type {typ}: {token!r}")
         comps.append((typ, rank))
     total = sum(r for _, r in comps)
     cartan = [[0] * total for _ in range(total)]
@@ -322,11 +305,8 @@ def classify_subdiagram(rs: RootSystem, subset: Iterable[int]) -> list[Subdiagra
     out = []
     for comp in _connected_components(rs, subset):
         k = len(comp)
-        candidates = [t for t in "ABCDEFG"
-                      if (k in (6, 7, 8) if t == "E"
-                          else k >= _MIN_RANK[t] and k <= _MAX_RANK.get(t, 10 ** 9))]
         match = None
-        for typ in candidates:
+        for typ in (t for t in "ABCDEFG" if _rank_allowed(t, k)):
             labelings = _match_labelings(rs, comp, cartan_block(typ, k))
             if labelings:
                 match = SubdiagramComponent(typ, k, comp, tuple(labelings))

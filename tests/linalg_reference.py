@@ -3,8 +3,9 @@ package's fraction-free kernel.
 
 Every pivot row is scaled to pivot 1 at once and every other row is
 cleared with Fraction arithmetic.  The reduced form is unique, so the
-package's `rref`, `solve_unique` and `nullspace` must return exactly what
-these return.
+package's `rref` and `nullspace` must return exactly what these return.
+`reference_solve_unique` serves `wmonoid_reference` as the exact solve
+behind lattice membership.
 """
 
 from fractions import Fraction

@@ -60,12 +60,16 @@ def test_dimension_budget():
     ("A1xA1", (2, 3)),
     ("G2", (2, 1)),       # weight multiplicities up to 9
     ("B3", (1, 1, 0)),    # weight multiplicities up to 5
+    ("E6", (0, 1, 0, 0, 0, 0)),        # adjoint, zero weight of multiplicity 6
+    ("F4", (0, 0, 1, 0)),              # weight multiplicities up to 9
+    ("E7", (0, 0, 0, 0, 0, 0, 1)),     # minuscule, 56 weights
 ])
 def test_dimension_and_multiplicities(name, lam):
     rs = build_root_system(name)
     mod = build_irrep(rs, lam)
     assert mod.dim == weyl_dimension(rs, lam)
     freud = freudenthal_multiplicities(rs, lam)
+    assert all(type(m) is int for m in freud.values())
     assert Counter(tuple(w) for w in mod.weights) == freud
     assert sum(freud.values()) == mod.dim
 

@@ -1,14 +1,12 @@
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import (
     reference_nullspace,
     reference_rank,
     reference_rref,
-    reference_solve_unique,
 )
 from sphmoduli.linalg import (
     Echelon,
@@ -16,7 +14,6 @@ from sphmoduli.linalg import (
     nullspace,
     reduce_mod,
     rref,
-    solve_unique,
 )
 
 
@@ -59,44 +56,31 @@ def test_echelon_copy_is_independent():
 
 
 # Rational matrices of up to 6 rows and 5 columns, with zero rows mixed in;
-# zero rows or zero columns give the empty cases.
+# zero rows or zero columns give the empty cases.  A row holds Fractions,
+# ints (which take the int-only path of `Echelon.add`), or both.
 _fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+_ints = st.integers(-3, 3)
 
 
-def _fraction_matrices(cols):
+def _rational_matrices(cols):
     row = st.one_of(
         st.just([Fraction(0)] * cols),
         st.lists(_fractions, min_size=cols, max_size=cols),
+        st.lists(_ints, min_size=cols, max_size=cols),
+        st.lists(_fractions | _ints, min_size=cols, max_size=cols),
     )
     return st.tuples(st.just(cols), st.lists(row, max_size=6))
 
 
-_shaped = st.integers(0, 5).flatmap(_fraction_matrices)
+_shaped = st.integers(0, 5).flatmap(_rational_matrices)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_shaped)
+@example((2, [[0, 1], [1, 0]]))   # an `Echelon` keeps these rows out of pivot order
 def test_rref_matches_reference(shaped):
     _, m = shaped
     assert rref(m) == reference_rref(m)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_shaped, st.data())
-def test_solve_unique_matches_reference(shaped, data):
-    cols, a = shaped
-    if data.draw(st.booleans()):
-        x = data.draw(st.lists(_fractions, min_size=cols, max_size=cols))
-        b = [sum((c * y for c, y in zip(row, x)), Fraction(0)) for row in a]
-    else:
-        b = data.draw(st.lists(_fractions, min_size=len(a), max_size=len(a)))
-    try:
-        expected = reference_solve_unique(a, b)
-    except ValueError:
-        with pytest.raises(ValueError):
-            solve_unique(a, b)
-    else:
-        assert solve_unique(a, b) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,8 +2,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sphmoduli import (
     RootSystemError,
@@ -185,15 +183,6 @@ def test_classify_roundtrip_all_subsets(name):
                 for p in range(comp.rank):
                     for q in range(comp.rank):
                         assert rs.cartan[labeling[p]][labeling[q]] == block[p][q]
-
-
-@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_weight_root_coordinate_roundtrip(coords):
-    rs = build_root_system("B3")
-    v = tuple(coords)
-    w = rs.root_to_weight(v)
-    assert rs.weight_to_root(w) == tuple(Fraction(c) for c in v)
 
 
 def test_symmetrizer_relation():
