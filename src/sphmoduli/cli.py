@@ -18,7 +18,7 @@ from .adapted import SearchBudgetExceeded
 from .irreps import DimensionBudgetExceeded
 from .rootsys import RootSystemError, build_root_system
 from .sphroots import root_name, spherical_root_catalog
-from .wmonoid import DependentBasis, NonDominantWeight, build_context
+from .wmonoid import NonDominantWeight, build_context
 
 SCHEMA_VERSION = 1
 
@@ -66,8 +66,6 @@ def analyze(args) -> tuple:
         ctx = build_context(rs, [tuple(w) for w in weights])
     except NonDominantWeight as e:
         return {"error": f"weight #{e.index} is not dominant: {list(e.weight)}"}, 2
-    except DependentBasis as e:
-        return {"error": str(e)}, 2
     except ValueError as e:
         return {"error": str(e)}, 2
 

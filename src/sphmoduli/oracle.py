@@ -168,18 +168,10 @@ def codim1_orbit_weights(ctx: WeightMonoidContext) -> frozenset:
     """Indices k of the basis weights whose degeneration x0 - v_k spans an
     orbit of codimension one: every simple root pairing nontrivially with
     the weight must pair nontrivially with some other basis weight."""
-    out = []
-    for k, lam in enumerate(ctx.basis):
-        ok = True
-        for i in range(ctx.n):
-            if lam[i] != 0 and not any(
-                mu[i] != 0 for t, mu in enumerate(ctx.basis) if t != k
-            ):
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return frozenset(out)
+    return frozenset(
+        k for k, lam in enumerate(ctx.basis)
+        if all(any(mu[i] for t, mu in enumerate(ctx.basis) if t != k)
+               for i, c in enumerate(lam) if c))
 
 
 @dataclass

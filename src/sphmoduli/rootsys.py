@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 RootVector = tuple  # integer simple-root coefficients
@@ -259,41 +258,58 @@ def _connected_components(rs: RootSystem, subset: Iterable[int]) -> list[tuple]:
     return sorted(comps)
 
 
-def _match_labelings(rs: RootSystem, indices: tuple, template: list[list[int]]) -> list[tuple]:
-    """All bijections position -> index reproducing the template Cartan matrix.
-    An isomorphism keeps degrees, so a slot is tried only at the positions
-    of its degree in the diagram.  Consecutive Bourbaki positions are mostly
-    joined, so a slot is checked against the latest assignments first."""
-    k = len(indices)
-    degree = [sum(1 for j in indices if j != i and rs.cartan[i][j]) for i in indices]
-    template_degree = [sum(1 for q in range(k) if q != p and template[p][q]) for p in range(k)]
-    found: list[tuple] = []
-    assign: list[int] = []
-    used = [False] * k
-
-    def extend(pos: int) -> None:
-        if pos == k:
-            found.append(tuple(assign))
-            return
-        for slot in range(k):
-            if used[slot] or degree[slot] != template_degree[pos]:
+def _bourbaki_orders(rs: RootSystem, indices: tuple) -> Iterator[tuple]:
+    """Every order of a connected subdiagram that a Bourbaki labeling can
+    take.  Bourbaki numbers each connected diagram along a path between two
+    leaves, and places the one node off that path, if any, last (type D) or
+    second (type E)."""
+    inside = set(indices)
+    nbrs = {i: [j for j, _ in rs._columns[i] if j != i and j in inside] for i in indices}
+    leaves = [i for i in indices if len(nbrs[i]) <= 1]
+    for a in leaves:
+        parent = {a: None}
+        stack = [a]
+        while stack:
+            i = stack.pop()
+            for j in nbrs[i]:
+                if j not in parent:
+                    parent[j] = i
+                    stack.append(j)
+        for b in leaves:
+            if b == a and len(indices) > 1:
                 continue
-            idx = indices[slot]
-            ok = True
-            for q in reversed(range(pos)):
-                if rs.cartan[idx][assign[q]] != template[pos][q] or \
-                   rs.cartan[assign[q]][idx] != template[q][pos]:
-                    ok = False
-                    break
-            if ok:
-                used[slot] = True
-                assign.append(idx)
-                extend(pos + 1)
-                assign.pop()
-                used[slot] = False
+            path = [b]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            path.reverse()
+            off = inside.difference(path)
+            if not off:
+                yield tuple(path)
+            elif len(off) == 1:
+                yield (*path, *off)
+                yield (path[0], *off, *path[1:])
 
-    extend(0)
-    return sorted(found)
+
+def _match_labelings(rs: RootSystem, indices: tuple, template: list[list[int]]) -> list[tuple]:
+    """All bijections position -> index of a connected subdiagram that
+    reproduce the template Cartan matrix.  Both diagrams are trees, so an
+    order that maps the template's edges onto edges reproduces it all."""
+    edges = [(p, q) for p in range(len(template)) for q in range(p) if template[p][q]]
+    return sorted(
+        order for order in _bourbaki_orders(rs, indices)
+        if all(rs.cartan[order[p]][order[q]] == template[p][q] and
+               rs.cartan[order[q]][order[p]] == template[q][p] for p, q in edges))
+
+
+def classify_component(rs: RootSystem, comp: tuple) -> SubdiagramComponent:
+    """Type and every Bourbaki-consistent labeling of a connected subdiagram,
+    its indices sorted."""
+    k = len(comp)
+    for typ in (t for t in "ABCDEFG" if _rank_allowed(t, k)):
+        labelings = _match_labelings(rs, comp, cartan_block(typ, k))
+        if labelings:
+            return SubdiagramComponent(typ, k, comp, tuple(labelings))
+    raise RootSystemError(f"subdiagram {comp} matches no Dynkin type")
 
 
 def classify_subdiagram(rs: RootSystem, subset: Iterable[int]) -> list[SubdiagramComponent]:
@@ -302,22 +318,4 @@ def classify_subdiagram(rs: RootSystem, subset: Iterable[int]) -> list[Subdiagra
     subset = sorted(set(subset))
     if not subset:
         raise ValueError("subset must be nonempty")
-    out = []
-    for comp in _connected_components(rs, subset):
-        k = len(comp)
-        match = None
-        for typ in (t for t in "ABCDEFG" if _rank_allowed(t, k)):
-            labelings = _match_labelings(rs, comp, cartan_block(typ, k))
-            if labelings:
-                match = SubdiagramComponent(typ, k, comp, tuple(labelings))
-                break
-        if match is None:
-            raise RootSystemError(f"subdiagram {comp} matches no Dynkin type")
-        out.append(match)
-    return out
-
-
-def orthogonal_simple_pairs(rs: RootSystem) -> Iterator[tuple]:
-    for i, j in combinations(range(rs.rank), 2):
-        if rs.cartan[i][j] == 0:
-            yield (i, j)
+    return [classify_component(rs, comp) for comp in _connected_components(rs, subset)]

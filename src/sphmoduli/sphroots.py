@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
-from .rootsys import (
-    RootSystem,
-    classify_subdiagram,
-    orthogonal_simple_pairs,
-    support,
-)
+from .rootsys import RootSystem, classify_component, positive_roots, support
 
 KIND_SIMPLE = "A1"
 KIND_DOUBLE = "2A1"
@@ -90,26 +86,6 @@ def _patterns(typ: str, k: int):
     return []
 
 
-def _connected_subsets(rs: RootSystem) -> list[tuple]:
-    """All connected subsets of simple roots of size >= 2, sorted."""
-    n = rs.rank
-    found = set()
-    for seed in range(n):
-        frontier = [frozenset([seed])]
-        while frontier:
-            cur = frontier.pop()
-            neighbors = {
-                j for i in cur for j in range(n)
-                if j not in cur and rs.cartan[i][j] != 0
-            }
-            for j in neighbors:
-                nxt = cur | {j}
-                if nxt not in found:
-                    found.add(nxt)
-                    frontier.append(nxt)
-    return sorted(tuple(sorted(s)) for s in found)
-
-
 @lru_cache(maxsize=None)
 def spherical_root_catalog(rs: RootSystem) -> tuple:
     """All spherically closed spherical roots of the root system, sorted by
@@ -138,10 +114,16 @@ def spherical_root_catalog(rs: RootSystem) -> tuple:
     for i in range(n):
         emit(KIND_SIMPLE, (i,), (1,))
         emit(KIND_DOUBLE, (i,), (2,))
-    for i, j in orthogonal_simple_pairs(rs):
-        emit(KIND_PAIR, (i, j), (1, 1))
-    for subset in _connected_subsets(rs):
-        (comp,) = classify_subdiagram(rs, subset)
+    for i, j in combinations(range(n), 2):
+        if not rs.cartan[i][j]:
+            emit(KIND_PAIR, (i, j), (1, 1))
+    # The connected supports of size >= 2 are those of the positive roots
+    # with coefficients 0 and 1: a root has connected support, and the sum
+    # over a connected set of simple roots is a root.
+    for beta in positive_roots(rs):
+        if max(beta) > 1 or sum(beta) < 2:
+            continue
+        comp = classify_component(rs, tuple(i for i, c in enumerate(beta) if c))
         for labeling in comp.labelings:
             for kind, pattern in _patterns(comp.dynkin_type, comp.rank):
                 emit(kind, labeling, pattern)

@@ -9,9 +9,9 @@ coefficients by a dot product.
 Lattice membership needs no elimination per weight.  When it is built, a
 context reduces [B | I_n] once, B the n x r matrix with the weights of F as
 columns, and keeps the right block E, with E.B = [I_r; 0], as integer rows
-over one denominator d.  A weight w is in the lattice exactly when the last
-n - r rows of d.E vanish on it and the first r are divisible by d; the
-quotients are its coefficients.
+over one denominator d, each row kept as its nonzero entries.  A weight w
+is in the lattice exactly when the last n - r rows of d.E vanish on it and
+the first r are divisible by d; the quotients are its coefficients.
 
 When it is built, a context also computes the data of each simple root a_i
 that the subset decision reads: the coroot restricted to F, the color
@@ -77,9 +77,10 @@ class WeightMonoidContext:
                                    for i in range(self.n)])
         if pivots[:self.r] != list(range(self.r)):
             raise DependentBasis("basis weights are linearly dependent over Q")
-        # d.E as integer rows
+        # d.E as integer rows, each the (j, entry) pairs of its nonzero entries
         self._denominator = d = lcm(*(x.denominator for row in red for x in row[self.r:]))
-        self._inverse = tuple(tuple(x.numerator * (d // x.denominator) for x in row[self.r:])
+        self._inverse = tuple(tuple((j, x.numerator * (d // x.denominator))
+                                    for j, x in enumerate(row[self.r:]) if x)
                               for row in red)
         self._root_coeffs: dict = {}    # root vector -> lattice coefficients
         self._member_facts: dict = {}   # root vector -> adapted._member_facts
@@ -111,7 +112,7 @@ class WeightMonoidContext:
         if len(w) != self.n:
             raise ValueError(f"weight {tuple(w)} has length {len(w)}, expected {self.n}")
         d, r = self._denominator, self.r
-        values = [sum(a * b for a, b in zip(row, w)) for row in self._inverse]
+        values = [sum(a * w[j] for j, a in row) for row in self._inverse]
         if any(values[r:]) or any(v % d for v in values[:r]):
             return None
         return tuple(v // d for v in values[:r])

@@ -1,10 +1,11 @@
-"""Subdiagram matching without pruning, the reference for the package's
-`_match_labelings`.
+"""Subdiagram matching by exhaustive search, the reference for the
+package's `_match_labelings`.
 
 Every unused slot is tried at every template position and checked against
-all positions assigned before it, in order.  The package's matcher skips
-slots whose degree differs from the template position's; the labelings it
-finds must be exactly these.
+all positions assigned before it, in order.  The package's matcher tries
+only the orders along a path between two leaves of the subdiagram, with the
+node off the path, if any, last or second; the labelings it finds must be
+exactly these.
 """
 
 

@@ -200,11 +200,12 @@ def _templates(rank):
     return [(typ, cartan_block(typ, rank)) for typ in types]
 
 
-@pytest.mark.parametrize("name", ["A6", "B5", "C5", "D6", "E6", "E7", "E8", "F4", "G2"])
+@pytest.mark.parametrize("name", ["A6", "B5", "C5", "D6", "E6", "E7", "E8", "F4", "G2",
+                                  "B3xG2xA1"])
 def test_match_labelings_equal_unfiltered_reference(name):
-    # the degree filter prunes the search only: on every connected
+    # the leaf-to-leaf orders miss no labeling: on every connected
     # subdiagram and every template of its rank, the labelings are the
-    # unfiltered matcher's, and some template matches
+    # exhaustive matcher's, and some template matches
     rs = build_root_system(name)
     for size in range(1, rs.rank + 1):
         for subset in combinations(range(rs.rank), size):

@@ -32,7 +32,8 @@ def test_catalog_g2():
 
 @pytest.mark.parametrize("name,count", [
     ("A1", 2), ("A1xA1", 5), ("A2", 5), ("A3", 11), ("B2", 6), ("B3", 13),
-    ("C3", 11), ("G2", 6), ("D4", 23), ("F4", 20),
+    ("C3", 11), ("G2", 6), ("D4", 23), ("F4", 20), ("D5", 34), ("B5", 33),
+    ("C5", 29), ("A6", 41), ("E6", 47), ("D6", 47), ("E7", 62), ("A2xB3", 24),
 ])
 def test_catalog_counts_match_bruteforce(name, count):
     rs = build_root_system(name)

@@ -48,8 +48,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 
 # (group, weights, flags) beyond the benchmark corpora: deep groups on the
-# oracle, the oracle and the walk together, the zero lattice and a module
-# dimension cap that refuses.
+# oracle, the oracle and the walk together, the zero lattice, a module
+# dimension cap that refuses, and the catalogs of long chains and of the D
+# fork at large rank.
 EXTRA_CASES = (
     ("E6", [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]], ("--oracle",)),
     ("B3", [[1, 1, 1]], ("--oracle",)),
@@ -62,6 +63,7 @@ EXTRA_CASES = (
     ("A3", [[1, 0, 0], [1, 1, 0], [1, 1, 1]], ("--oracle", "--enumerate-subsets")),
     ("A2", [], ("--oracle",)),
     ("B2", [[2, 0]], ("--oracle", "--irrep-dim-cap", "3")),
+    ("A30", [], ()), ("A50", [], ()), ("D30", [], ()), ("B20", [], ()), ("C20", [], ()),
 )
 
 # (group, largest basis coordinate) of the decision digest.
