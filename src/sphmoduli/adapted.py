@@ -445,9 +445,9 @@ def enumerate_n_adapted_subsets(
 
     def extend(start: int, chosen: tuple, echelon: linalg.Echelon) -> None:
         nonlocal examined
-        if examined > budget:
+        if examined >= budget:
             raise SearchBudgetExceeded(
-                f"examined more than {budget} candidate subsets",
+                f"needs more than {budget} candidate subsets",
                 partial=_flag_maximal(accepted),
             )
         examined += 1

@@ -22,52 +22,52 @@ from typing import Iterable, Iterator
 RootVector = tuple  # integer simple-root coefficients
 Weight = tuple      # integer fundamental-weight coefficients
 
-_TOKEN = re.compile(r"^([ABCDEFG])(\d+)$")
+# At most nine digits of rank, so that reading it as an int cannot fail;
+# `_MAX_POSITIVE_ROOTS` refuses far smaller ranks.
+_TOKEN = re.compile(r"^([ABCDEFG])(\d{1,9})$")
 
 # Smallest and largest admissible rank per type; no largest for A to D.
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
+
+# Largest group accepted, by its number of positive roots: that of A100.
+# The catalog, and so the report, grows like the cube of the rank.
+_MAX_POSITIVE_ROOTS = 5050
 
 
 class RootSystemError(ValueError):
     """Bad type string or rank constraint violation."""
 
 
-def _chain(n: int) -> list[list[int]]:
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = -1
-        m[i + 1][i] = -1
-    return m
+def dynkin_edges(typ: str, rank: int) -> list[tuple]:
+    """The rank - 1 edges of the Bourbaki diagram of one simple type, each as
+    (p, q, <a_p^v, a_q>, <a_q^v, a_p>) with p < q."""
+    if typ in ("A", "B", "C", "F"):
+        edges = [(p, p + 1, -1, -1) for p in range(rank - 1)]
+        if typ == "B":
+            edges[-1] = (rank - 2, rank - 1, -1, -2)
+        elif typ == "C":
+            edges[-1] = (rank - 2, rank - 1, -2, -1)
+        elif typ == "F":
+            edges[1] = (1, 2, -1, -2)
+    elif typ == "D":
+        # chain 1-2-...-(n-1), node n attached to n-2
+        edges = [(p, p + 1, -1, -1) for p in range(rank - 2)] + [(rank - 3, rank - 1, -1, -1)]
+    elif typ == "E":
+        # chain 1-3-4-5-..., node 2 attached to 4
+        edges = [(0, 2, -1, -1), (1, 3, -1, -1)] + [(p, p + 1, -1, -1) for p in range(2, rank - 1)]
+    elif typ == "G":
+        edges = [(0, 1, -3, -1)]
+    else:
+        raise RootSystemError(f"unknown type {typ!r}")
+    return edges
 
 
 def cartan_block(typ: str, rank: int) -> list[list[int]]:
     """Bourbaki Cartan matrix of one simple type; entry [i][j] = <a_i^v, a_j>."""
-    m = _chain(rank)
-    if typ == "A":
-        pass
-    elif typ == "B":
-        m[rank - 1][rank - 2] = -2
-    elif typ == "C":
-        m[rank - 2][rank - 1] = -2
-    elif typ == "D":
-        m[rank - 2][rank - 1] = 0
-        m[rank - 1][rank - 2] = 0
-        m[rank - 3][rank - 1] = -1
-        m[rank - 1][rank - 3] = -1
-    elif typ == "E":
-        # Chain 1-3-4-5-..., extra node 2 attached to 4 (Bourbaki).
-        m = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)]
-        for i, j in edges:
-            m[i][j] = -1
-            m[j][i] = -1
-    elif typ == "F":
-        m[2][1] = -2
-    elif typ == "G":
-        m = [[2, -3], [-1, 2]]
-    else:
-        raise RootSystemError(f"unknown type {typ!r}")
+    m = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for p, q, a, b in dynkin_edges(typ, rank):
+        m[p][q], m[q][p] = a, b
     return m
 
 
@@ -147,6 +147,11 @@ def build_root_system(type_string: str) -> RootSystem:
         if not _rank_allowed(typ, rank):
             raise RootSystemError(f"invalid rank for type {typ}: {token!r}")
         comps.append((typ, rank))
+    count = sum(positive_root_count(typ, rank) for typ, rank in comps)
+    if count > _MAX_POSITIVE_ROOTS:
+        raise RootSystemError(
+            f"{type_string.strip()!r} has {count} positive roots, more than the "
+            f"{_MAX_POSITIVE_ROOTS} of A100")
     total = sum(r for _, r in comps)
     cartan = [[0] * total for _ in range(total)]
     symm: list[int] = []
@@ -182,36 +187,35 @@ def is_dominant(w: Weight) -> bool:
 
 
 @lru_cache(maxsize=None)
-def positive_roots(rs: RootSystem) -> tuple:
-    """All positive roots, by closure of the simple roots under root strings.
+def root_strings(rs: RootSystem) -> dict:
+    """Every positive root, ordered by height and then by vector, mapped to
+    its string lengths: p_i is the number of k >= 1 with beta - k*a_i a root.
 
-    beta + a_i is a root iff p - <a_i^v, beta> > 0 where p is the largest k
-    with beta - k*a_i still a root.
+    Built height by height from the simple roots, whose lengths are all 0:
+    beta + a_i is a root iff p_i(beta) > <a_i^v, beta>, and then
+    p_i(beta + a_i) = p_i(beta) + 1.  Every gamma - a_i that is a root is
+    met this way, and p_i(gamma) stays 0 for the other i.
     """
     n = rs.rank
-    roots = set(rs.simple_roots)
-    frontier = list(rs.simple_roots)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(n):
-                p = 0
-                lower = list(beta)
-                while True:
-                    lower[i] -= 1
-                    if tuple(lower) in roots:
-                        p += 1
-                    else:
-                        break
-                if p - rs.pairing(i, beta) > 0:
+    strings: dict = {}
+    layer = {a: [0] * n for a in rs.simple_roots}
+    while layer:
+        above: dict = {}
+        for beta in sorted(layer):
+            p = strings[beta] = tuple(layer[beta])
+            for i, (p_i, w_i) in enumerate(zip(p, rs.root_to_weight(beta))):
+                if p_i > w_i:
                     up = list(beta)
                     up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        new.append(cand)
-        frontier = new
-    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+                    above.setdefault(tuple(up), [0] * n)[i] = p_i + 1
+        layer = above
+    return strings
+
+
+@lru_cache(maxsize=None)
+def positive_roots(rs: RootSystem) -> tuple:
+    """All positive roots, by height and then by vector (`root_strings`)."""
+    return tuple(root_strings(rs))
 
 
 def positive_root_count(typ: str, rank: int) -> int:
@@ -290,23 +294,25 @@ def _bourbaki_orders(rs: RootSystem, indices: tuple) -> Iterator[tuple]:
                 yield (path[0], *off, *path[1:])
 
 
-def _match_labelings(rs: RootSystem, indices: tuple, template: list[list[int]]) -> list[tuple]:
-    """All bijections position -> index of a connected subdiagram that
-    reproduce the template Cartan matrix.  Both diagrams are trees, so an
-    order that maps the template's edges onto edges reproduces it all."""
-    edges = [(p, q) for p in range(len(template)) for q in range(p) if template[p][q]]
+def _match_labelings(rs: RootSystem, orders: Iterable[tuple], edges: list[tuple]) -> list[tuple]:
+    """The orders of a connected subdiagram, as bijections position -> index,
+    that carry a type's edges onto edges with the same Cartan entries.  Both
+    diagrams are trees on as many nodes, so such an order reproduces the
+    whole Cartan matrix of the type."""
+    cartan = rs.cartan
     return sorted(
-        order for order in _bourbaki_orders(rs, indices)
-        if all(rs.cartan[order[p]][order[q]] == template[p][q] and
-               rs.cartan[order[q]][order[p]] == template[q][p] for p, q in edges))
+        order for order in orders
+        if all(cartan[order[p]][order[q]] == a and cartan[order[q]][order[p]] == b
+               for p, q, a, b in edges))
 
 
 def classify_component(rs: RootSystem, comp: tuple) -> SubdiagramComponent:
     """Type and every Bourbaki-consistent labeling of a connected subdiagram,
     its indices sorted."""
     k = len(comp)
+    orders = tuple(_bourbaki_orders(rs, comp))
     for typ in (t for t in "ABCDEFG" if _rank_allowed(t, k)):
-        labelings = _match_labelings(rs, comp, cartan_block(typ, k))
+        labelings = _match_labelings(rs, orders, dynkin_edges(typ, k))
         if labelings:
             return SubdiagramComponent(typ, k, comp, tuple(labelings))
     raise RootSystemError(f"subdiagram {comp} matches no Dynkin type")

@@ -572,9 +572,9 @@ def test_walk_budget_counts_steps_over_kept_roots():
     kept = [r for r in spherical_root_catalog(ctx.rs) if not _member_facts(ctx, r).exit]
     assert [r.name() for r in kept] == ["2*a3", "a2+a3", "2*a2", "a1+a3", "a1+a2", "2*a1"]
     steps = len(independent_subsets(kept, ctx.r))
-    enumerate_n_adapted_subsets(ctx, budget=steps - 1)
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_n_adapted_subsets(ctx, budget=steps - 2)
+    enumerate_n_adapted_subsets(ctx, budget=steps)
+    with pytest.raises(SearchBudgetExceeded, match=f"more than {steps - 1} "):
+        enumerate_n_adapted_subsets(ctx, budget=steps - 1)
 
 
 def test_member_facts_are_memoised_on_the_context():

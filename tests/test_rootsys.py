@@ -10,7 +10,14 @@ from sphmoduli import (
     positive_root_count,
     positive_roots,
 )
-from sphmoduli.rootsys import _connected_components, _match_labelings, cartan_block
+from sphmoduli.rootsys import (
+    _bourbaki_orders,
+    _connected_components,
+    _match_labelings,
+    cartan_block,
+    dynkin_edges,
+    root_strings,
+)
 
 from rootsys_reference import reference_match_labelings
 
@@ -36,10 +43,20 @@ def test_parse_whitespace_separator():
     assert build_root_system("B3 G2").components == (("B", 3), ("G", 2))
 
 
-@pytest.mark.parametrize("bad", ["D3", "C2", "B1", "E5", "F3", "G4", "Q5", "A0", ""])
+@pytest.mark.parametrize("bad", ["D3", "C2", "B1", "E5", "F3", "G4", "Q5", "A0", "",
+                                 pytest.param("A" + "1" * 5000, id="A-5000-digits")])
 def test_parse_errors(bad):
     with pytest.raises(RootSystemError):
         build_root_system(bad)
+
+
+def test_group_size_is_bounded_before_the_cartan_matrix():
+    # A100 is the largest group accepted; a larger one is refused from its
+    # positive root count, before any rank x rank matrix is allocated
+    assert build_root_system("A100").rank == 100
+    for name in ("A101", "A100000", "A100xA1"):
+        with pytest.raises(RootSystemError, match="positive roots"):
+            build_root_system(name)
 
 
 def test_parse_error_names_offending_token():
@@ -49,7 +66,7 @@ def test_parse_error_names_offending_token():
 
 @pytest.mark.parametrize("name", [
     "A1", "A5", "B2", "B5", "C3", "C5", "D4", "D6", "E6", "E7", "E8",
-    "F4", "G2", "A2xB3", "A1xA1xA1",
+    "F4", "G2", "A2xB3", "A1xA1xA1", "A30", "B20", "C20", "D30",
 ])
 def test_positive_root_counts(name):
     rs = build_root_system(name)
@@ -83,6 +100,26 @@ def test_roots_match_reflection_orbit(name):
         frontier = new
     positives = {v for v in orbit if all(c >= 0 for c in v)}
     assert positives == set(positive_roots(rs))
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A7", "B2", "B3", "B4", "C3", "C4", "D4", "D6",
+    "E6", "E7", "E8", "F4", "G2", "A1xA1", "B3xG2xA1",
+])
+def test_root_strings_match_membership_walk(name):
+    # every string length against a walk down the a_i-string by membership
+    # in the set of positive roots
+    rs = build_root_system(name)
+    roots = set(positive_roots(rs))
+    for beta, lengths in root_strings(rs).items():
+        for i, p in enumerate(lengths):
+            walked, lower = 0, list(beta)
+            while True:
+                lower[i] -= 1
+                if tuple(lower) not in roots:
+                    break
+                walked += 1
+            assert p == walked, (beta, i)
 
 
 def test_pairing_examples():
@@ -193,27 +230,28 @@ def test_symmetrizer_relation():
                 assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
 
 
-def _templates(rank):
-    """Bourbaki Cartan matrices of every simple type of this rank."""
-    types = "A" + "B" * (rank >= 2) + "C" * (rank >= 3) + "D" * (rank >= 4) \
+def _types(rank):
+    """Every simple type of this rank."""
+    return "A" + "B" * (rank >= 2) + "C" * (rank >= 3) + "D" * (rank >= 4) \
         + "E" * (rank in (6, 7, 8)) + "F" * (rank == 4) + "G" * (rank == 2)
-    return [(typ, cartan_block(typ, rank)) for typ in types]
 
 
 @pytest.mark.parametrize("name", ["A6", "B5", "C5", "D6", "E6", "E7", "E8", "F4", "G2",
                                   "B3xG2xA1"])
 def test_match_labelings_equal_unfiltered_reference(name):
     # the leaf-to-leaf orders miss no labeling: on every connected
-    # subdiagram and every template of its rank, the labelings are the
-    # exhaustive matcher's, and some template matches
+    # subdiagram and every simple type of its rank, the labelings are the
+    # exhaustive matcher's, and some type matches
     rs = build_root_system(name)
     for size in range(1, rs.rank + 1):
         for subset in combinations(range(rs.rank), size):
             if len(_connected_components(rs, subset)) != 1:
                 continue
             matched = False
-            for typ, template in _templates(size):
-                got = _match_labelings(rs, subset, template)
+            orders = list(_bourbaki_orders(rs, subset))
+            for typ in _types(size):
+                got = _match_labelings(rs, orders, dynkin_edges(typ, size))
+                template = cartan_block(typ, size)
                 assert got == reference_match_labelings(rs, subset, template), (subset, typ)
                 matched = matched or bool(got)
             assert matched, subset

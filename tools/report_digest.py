@@ -23,9 +23,7 @@ A fourth line digests the root operators on the same modules: the column
 `mod.column(build_chevalley(rs), root, idx)` for every root (the positive
 roots and their negatives, sorted) and every basis vector, the non-simple
 ones built from the bracket decomposition, written the same way.  The tool
-reads nothing of what `build_chevalley` returns but passes it on, so it
-runs on source roots where that is a wrapper object and where it is the
-decomposition dict.
+reads nothing of what `build_chevalley` returns but passes it on.
 
 A fifth line digests the subset walk: the records of
 `enumerate_n_adapted_subsets` (the root vectors of each accepted set and its
