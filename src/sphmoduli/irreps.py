@@ -1,20 +1,23 @@
 """Explicit irreducible highest-weight modules with exact entries.
 
 The module is generated from a highest weight vector by the simple lowering
-operators; at each weight the symmetric form with <f.u, w> = <u, e.w> is
-evaluated on the candidate vectors, and its rank cuts out the part that
-survives in the irreducible quotient.  Basis vectors are Chevalley
-monomials f_i1 ... f_ik v+, on which the form is integral, so Gram matrices
-hold ints.  They are tagged with their weight, so the torus acts diagonally
-by construction.  A candidate weight is tested first against the simple-root
-string through its parent, whose upper part is already built; at a weight
-that is not a weight of the module, every candidate is zero and no Gram
-matrix is formed.
+operators.  Below the highest weight no nonzero vector of an irreducible
+module is killed by every simple raising operator, so v -> (e_k v)_k is
+injective there, and the candidates f_j w at a weight satisfy exactly the
+linear relations of their raised vectors e_k f_j w, which lie in weight
+spaces already built.  One reduction of those keeps the first independent
+candidates and expands every candidate over them.  Basis vectors are
+Chevalley monomials f_i1 ... f_ik v+, tagged with their weight, so the
+torus acts diagonally; the contravariant form <f.u, w> = <u, e.w> is
+integral on them and formed on kept pairs only.  Coefficients follow the
+number policy of `linalg`: an int unless a division leaves a remainder.  A
+candidate weight is tested first against the simple-root string through its
+parent, whose upper part is already built; at a non-weight every candidate
+is zero and nothing is reduced.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -134,12 +137,11 @@ class IrrepModule:
             eps, delta, n = decomposition[root if height > 0 else neg(root)]
             if height < 0:
                 eps, delta, n = neg(eps), neg(delta), -n
-            inv = Fraction(1, n)
             image = self.apply_root(decomposition, eps, dict(self.column(decomposition, delta, idx)))
             for jdx, c in self.apply_root(decomposition, delta,
                                           dict(self.column(decomposition, eps, idx))).items():
-                image[jdx] = image.get(jdx, Fraction(0)) - c
-            col = cols[idx] = [(jdx, c * inv) for jdx, c in sorted(image.items()) if c]
+                image[jdx] = image.get(jdx, 0) - c
+            col = cols[idx] = [(jdx, linalg.quotient(c, n)) for jdx, c in sorted(image.items()) if c]
         return col
 
     def apply_root(self, decomposition: dict, root: tuple, vec: dict) -> dict:
@@ -149,7 +151,7 @@ class IrrepModule:
         out: dict = {}
         for idx, c in vec.items():
             for jdx, coeff in self.column(decomposition, root, idx):
-                out[jdx] = out.get(jdx, Fraction(0)) + c * coeff
+                out[jdx] = out.get(jdx, 0) + c * coeff
         return {jdx: c for jdx, c in out.items() if c}
 
 
@@ -157,13 +159,8 @@ def _integral(num: int, den: int) -> int:
     """num / den, which must be an integer: a remainder raises, never rounds."""
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"non-integral quotient {Fraction(num, den)}")
+        raise ArithmeticError(f"non-integral quotient {num}/{den}")
     return q
-
-
-def _exact(c):
-    """A coefficient as an int when it is integral, else as it is."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule:
@@ -191,7 +188,7 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
             # mu = nu - a_i is a weight exactly when the a_i-string through nu
             # reaches below nu: <nu, a_i^v> + q >= 1, where q counts the
             # weights nu + a_i, nu + 2a_i, ..., all built at smaller depths.
-            # At a non-weight every candidate is zero, with no Gram work.
+            # At a non-weight every candidate is zero and nothing is reduced.
             i, parent = cands[0]
             up, q = mod.weights[parent], 0
             while (up := tuple(x + y for x, y in zip(up, alpha_w[i]))) in mod.gram:
@@ -200,13 +197,13 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
                 for i, parent in cands:
                     mod.lower[i][parent] = []
                 continue
-            m = len(cands)
             # raised[b][k] = e_k f_j w = f_j (e_k w) + [k == j] <a_k^v, wt w> w for b = (j, w),
-            # as (d, coefficients times d) on the kept basis at mu + a_k; zero unless k in ks
-            ks = {i for i, _ in cands}   # the k for which mu + a_k is a weight
-            raised = [{} for _ in range(m)]
+            # as (d, coefficients times d) on the kept basis at mu + a_k, the weight of
+            # the parents of the candidates (k, .); zero unless k is among them
+            above = {i: mod.weights[parent] for i, parent in cands}
+            raised = [{} for _ in cands]
             for b, (j, w) in enumerate(cands):
-                for k in ks:
+                for k in above:
                     combo: dict = {w: mod.weights[w][k]} if k == j else {}
                     for z, cz in mod.raise_[k].get(w, ()):
                         for t, ct in mod.lower[j][z]:
@@ -214,41 +211,45 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
                     d = lcm(*(c.denominator for c in combo.values()))
                     raised[b][k] = (d, [(t, c.numerator * (d // c.denominator))
                                         for t, c in sorted(combo.items()) if c])
-            # <f_i u, f_j w> = <u, e_i f_j w>, the Gram row of u against a raised
-            # vector; the form is symmetric, so the upper triangle is evaluated
-            cg = [[0] * m for _ in range(m)]
-            for a, (i, u) in enumerate(cands):
-                row = mod.gram[mod.weights[u]][1][place[u]]
-                for b in range(a, m):
-                    d, x = raised[b][i]
-                    cg[a][b] = cg[b][a] = _integral(sum(row[place[t]] * c for t, c in x), d)
-            echelon = linalg.Echelon()
-            kept_pos = [p for p, row in enumerate(cg) if echelon.add(row)]
+            # One column per candidate, one row per kept basis vector at each mu + a_k:
+            # the pivots are the kept candidates, and column pos expands candidate pos
+            # over them (a unit column when it is kept).
+            rows = []
+            for k, nu in above.items():
+                block = [[0] * len(cands) for _ in mod.gram[nu][0]]
+                for b, vec in enumerate(raised):
+                    d, x = vec[k]
+                    for t, c in x:
+                        block[place[t]][b] = linalg.quotient(c, d)
+                rows += block
+            red, kept_pos = linalg.rref(rows)
             ids = list(range(mod.dim, mod.dim + len(kept_pos)))
             mod.dim += len(ids)
             if mod.dim > expected:
                 raise ArithmeticError(
                     f"module of highest weight {lam} outgrew its Weyl dimension {expected}")
             place.extend(range(len(ids)))
+            # <f_i u, f_j w> = <u, e_i f_j w>, the Gram row of u against a raised
+            # vector, on kept pairs; the form is symmetric, so the upper triangle
+            # is evaluated
+            gram = [[0] * len(ids) for _ in ids]
+            for a, pos in enumerate(kept_pos):
+                i, u = cands[pos]
+                row = mod.gram[mod.weights[u]][1][place[u]]
+                for b in range(a, len(ids)):
+                    d, x = raised[kept_pos[b]][i]
+                    gram[a][b] = gram[b][a] = _integral(sum(row[place[t]] * c for t, c in x), d)
+            if ids:
+                mod.gram[mu] = (ids, gram)
             for idx, pos in zip(ids, kept_pos):
                 i, parent = cands[pos]
                 mod.weights.append(mu)
                 mod.depths.append(tuple(d + (j == i) for j, d in enumerate(mod.depths[parent])))
                 for k in range(n):
                     d, x = raised[pos].get(k, (1, []))
-                    mod.raise_[k][idx] = [(t, _exact(Fraction(c, d))) for t, c in x] if d > 1 else x
-            # Every candidate over the kept basis: the kept Gram block is invertible, so
-            # one reduction of [kept block | dropped columns] solves for all dropped ones.
-            combos = {pos: [(idx, 1)] for pos, idx in zip(kept_pos, ids)}
-            dropped = [pos for pos in range(m) if pos not in combos]
-            if ids:
-                mod.gram[mu] = (ids, [[cg[a][b] for b in kept_pos] for a in kept_pos])
-                if dropped:
-                    red, _ = linalg.rref([[cg[a][b] for b in kept_pos + dropped] for a in kept_pos])
-                    for col, pos in enumerate(dropped, start=len(ids)):
-                        combos[pos] = [(idx, _exact(red[t][col])) for t, idx in enumerate(ids)
-                                       if red[t][col]]
+                    mod.raise_[k][idx] = [(t, linalg.quotient(c, d)) for t, c in x]
             for pos, (i, parent) in enumerate(cands):
-                mod.lower[i][parent] = combos.get(pos, [])
+                mod.lower[i][parent] = [(idx, red[r][pos]) for r, idx in enumerate(ids)
+                                        if red[r][pos]]
         prev_ids = range(start, mod.dim)
     return mod

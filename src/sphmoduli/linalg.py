@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows whose entries are ints or Fractions.  There is
-one elimination kernel, the incremental `Echelon`, and it is fraction-free:
-every row is first scaled by the lcm of its denominators to a primitive
-integer row (a row of ints skips that pass), rows are combined by
-cross-multiplication, and each result is divided by the gcd of its
-entries.  `Echelon` serves rank and independence.  `rref` finishes an
-`Echelon` of its rows by back-substitution and divides by its pivots only
-at the end, so it returns the same Fractions as Gauss-Jordan over the
-rationals (the reduced form is unique); it serves kernels and
-intersections.
+Matrices are lists of rows whose entries are ints or Fractions.  One
+number policy holds here and in `irreps` and `oracle`: a value stays an
+int unless a division leaves a remainder, and only then is it a Fraction
+(`quotient`).  There is one elimination kernel, the incremental
+`Echelon`, and it is fraction-free: every row is first scaled by the lcm
+of its denominators to a primitive integer row (a row of ints skips that
+pass), rows are combined by cross-multiplication, and each result is
+divided by the gcd of its entries.  `Echelon` serves rank and
+independence.  `rref` finishes an `Echelon` of its rows by
+back-substitution and divides by its pivots only at the end, so it
+returns the same values as Gauss-Jordan over the rationals (the reduced
+form is unique); it serves kernels and intersections.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from typing import Sequence
 Vec = list
 Mat = list
 
-ZERO = Fraction(0)
 
-
-def zeros(n: int) -> Vec:
-    return [ZERO] * n
+def quotient(x, d: int):
+    """x / d for an int or Fraction x and a nonzero int d: an int when the
+    division leaves no remainder, else a Fraction."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
 
 
 def _divide_gcd(row: list) -> list:
@@ -83,9 +86,10 @@ class Echelon:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix of Fractions, pivot column
-    indices).  The kept rows of an `Echelon` of `m`, sorted by pivot, are
-    upper triangular; each pivot column is cleared from the rows above it,
+    """Reduced row echelon form; returns (matrix, pivot column indices),
+    its entries ints where the pivot divides them and Fractions otherwise.
+    The kept rows of an `Echelon` of `m`, sorted by pivot, are upper
+    triangular; each pivot column is cleared from the rows above it,
     from right to left, and every row is divided by its pivot."""
     ech = Echelon(m)
     cols = len(m[0]) if m else 0
@@ -96,8 +100,8 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
         for i in range(r):
             if rows[i][pivots[r]]:
                 rows[i] = _eliminate(rows[i], rows[r], pivots[r])
-    out = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(rows, pivots)]
-    out += [zeros(cols) for _ in range(len(m) - len(rows))]
+    out = [[quotient(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    out += [[0] * cols for _ in range(len(m) - len(rows))]
     return out, pivots
 
 
@@ -107,8 +111,8 @@ def nullspace(a: Mat, cols: int) -> list[Vec]:
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = zeros(cols)
-        v[fc] = Fraction(1)
+        v = [0] * cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -116,25 +120,17 @@ def nullspace(a: Mat, cols: int) -> list[Vec]:
 
 
 def span_intersection(a_basis: list[Vec], b_basis: list[Vec]) -> list[Vec]:
-    """Basis of span(a) n span(b); all vectors of equal length."""
+    """Basis of span(a) n span(b), as primitive integer rows; all vectors
+    of equal length."""
     if not a_basis or not b_basis:
         return []
     dim = len(a_basis[0])
     # Columns are [a1..ap | b1..bq]; kernel elements give intersection vectors.
-    cols = len(a_basis) + len(b_basis)
-    m = []
-    for i in range(dim):
-        m.append([a_basis[k][i] for k in range(len(a_basis))]
-                 + [-b_basis[k][i] for k in range(len(b_basis))])
-    result = []
-    for ker in nullspace(m, cols):
-        v = zeros(dim)
-        for k, coeff in enumerate(ker[: len(a_basis)]):
-            if coeff:
-                v = [x + coeff * y for x, y in zip(v, a_basis[k])]
-        if any(x != 0 for x in v):
-            result.append(v)
-    return independent_subset(result)
+    m = [[a[i] for a in a_basis] + [-b[i] for b in b_basis] for i in range(dim)]
+    ech = Echelon()
+    for ker in nullspace(m, len(a_basis) + len(b_basis)):
+        ech.add([sum(c * a[i] for c, a in zip(ker, a_basis)) for i in range(dim)])
+    return ech.rows
 
 
 def independent_subset(vectors: list[Vec]) -> list[Vec]:

@@ -21,7 +21,6 @@ decomposition of `chevalley.build_chevalley`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import linalg
@@ -78,16 +77,15 @@ def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
             ids_at.setdefault(depth, []).append(total + idx)
         total += mod.dim
     # basis index 0 of each module is its highest vector
-    x0 = {off: Fraction(1) for off in offsets}
-    gx0 = {(0,) * ctx.n: [{off: Fraction(1)} for off in offsets]}
+    x0 = dict.fromkeys(offsets, 1)
+    gx0 = {(0,) * ctx.n: [{off: 1} for off in offsets]}
     lowering = frozenset(positive_roots(ctx.rs)) - frozenset(ctx.f_perp)
     return AmbientModel(ctx, decomposition, modules, offsets, total, x0, gx0, ids_at, lowering)
 
 
 @dataclass
 class InvariantSpace:
-    gamma: tuple               # simple-root coordinates
-    ids: list                  # global ids of twisted weight gamma: the local coordinates
+    ids: list                  # global ids of its twisted weight: the local coordinates
     solution_basis: list       # local vectors spanning the invariant preimage in V
     boundary: list             # local part already inside g.x0 (0 or 1 vector)
 
@@ -145,23 +143,18 @@ def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
         allowed = model.gx0_at(sub(gamma, root))
         touched: dict = {}
         for c, gid in enumerate(ids):
-            for coord, val in model.apply_root(root, {gid: Fraction(1)}).items():
+            for coord, val in model.apply_root(root, {gid: 1}).items():
                 touched.setdefault(coord, {})[c] = val
         for a, av in enumerate(allowed):
             for coord, val in av.items():
                 touched.setdefault(coord, {})[cols + a] = -val
         cols += len(allowed)
         equations += touched.values()
-    rows = []
-    for eq in equations:
-        row = [Fraction(0)] * cols
-        for c, val in eq.items():
-            row[c] = val
-        rows.append(row)
+    rows = [[eq.get(c, 0) for c in range(cols)] for eq in equations]
     kernel = linalg.nullspace(rows, cols)
     solution = linalg.independent_subset([kv[:m] for kv in kernel if any(kv[:m])])
-    boundary = [[vec.get(gid, Fraction(0)) for gid in ids] for vec in model.gx0_at(gamma)]
-    return InvariantSpace(gamma=gamma, ids=ids, solution_basis=solution, boundary=boundary)
+    boundary = [[vec.get(gid, 0) for gid in ids] for vec in model.gx0_at(gamma)]
+    return InvariantSpace(ids=ids, solution_basis=solution, boundary=boundary)
 
 
 def codim1_orbit_weights(ctx: WeightMonoidContext) -> frozenset:
@@ -204,7 +197,7 @@ def oracle_tangent_weights(model: AmbientModel,
                 # unit vectors of the degenerating summand, in local coordinates
                 lo, hi = model.offsets[k], model.offsets[k] + model.modules[k].dim
                 m = len(space.ids)
-                allowed = [[Fraction(int(p == q)) for q in range(m)]
+                allowed = [[int(p == q) for q in range(m)]
                            for p, gid in enumerate(space.ids) if lo <= gid < hi]
                 allowed += space.boundary
                 surviving = linalg.span_intersection(surviving, allowed)

@@ -107,15 +107,20 @@ class WeightMonoidContext:
 
     def in_lattice(self, w: Weight) -> Optional[tuple]:
         """Integer coefficients c with sum(c_k * F_k) = w, or None.  As
-        E.B = [I_r; 0], w = B.c exactly when d.c_k = (d.E).w for k < r and
-        (d.E).w vanishes below."""
+        E.B = [I_r; 0], w = B.c exactly when (d.E).w vanishes below row r
+        and d.c_k = (d.E).w for k < r; the first row that fails decides."""
         if len(w) != self.n:
             raise ValueError(f"weight {tuple(w)} has length {len(w)}, expected {self.n}")
         d, r = self._denominator, self.r
-        values = [sum(a * w[j] for j, a in row) for row in self._inverse]
-        if any(values[r:]) or any(v % d for v in values[:r]):
+        if any(sum(a * w[j] for j, a in row) for row in self._inverse[r:]):
             return None
-        return tuple(v // d for v in values[:r])
+        coeffs = []
+        for row in self._inverse[:r]:
+            q, rem = divmod(sum(a * w[j] for j, a in row), d)
+            if rem:
+                return None
+            coeffs.append(q)
+        return tuple(coeffs)
 
     def in_lattice_root(self, v: RootVector) -> Optional[tuple]:
         if v not in self._root_coeffs:

@@ -9,11 +9,16 @@ from sphmoduli import (
     DimensionBudgetExceeded,
     build_chevalley,
     build_irrep,
+    build_model,
     build_root_system,
     freudenthal_multiplicities,
+    invariant_quotient_weights,
+    linalg,
+    positive_roots,
     weyl_dimension,
 )
 from sphmoduli.irreps import _integral
+from sphmoduli.rootsys import neg
 
 from chevalley_reference import build_reference, coroot_weight_pairing
 from irreps_reference import reference_irrep
@@ -205,8 +210,62 @@ def test_gram_entries_are_ints(name, lam):
         assert all(type(x) is int for row in mat for x in row)
     for table in mod.lower + mod.raise_:
         for combo in table.values():
-            for _t, c in combo:
-                assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+            assert all(_follows_number_policy(c) for _t, c in combo)
+
+
+@pytest.mark.parametrize("name,lam", REFERENCE_CASES)
+def test_one_reduction_per_weight_below_the_highest(monkeypatch, name, lam):
+    # one rref per weight space below the highest, none at a candidate
+    # weight that is not a weight
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
+    mod = build_irrep(build_root_system(name), lam)
+    assert len(calls) == len(mod.gram) - 1
+
+
+def _follows_number_policy(x) -> bool:
+    """An int, or a Fraction only where a division left a remainder."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_number_policy_where_values_are_made(monkeypatch, battery):
+    # every value that `rref` and `nullspace` return, the base point and the
+    # g.x0 vectors, every root-operator column and every invariant solution
+    # is an int unless a division left a remainder
+    made = []
+
+    def recording(f, entries):
+        def wrapper(*args):
+            out = f(*args)
+            made.extend(x for row in entries(out) for x in row)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", recording(linalg.rref, lambda out: out[0]))
+    monkeypatch.setattr(linalg, "nullspace", recording(linalg.nullspace, lambda out: out))
+    modules = []
+    for name, lam in REFERENCE_CASES:
+        rs = build_root_system(name)
+        mod = build_irrep(rs, lam)
+        decomposition = build_chevalley(rs)
+        for beta in positive_roots(rs):
+            for idx in range(mod.dim):
+                mod.column(decomposition, beta, idx)
+                mod.column(decomposition, neg(beta), idx)
+        modules.append(mod)
+    for _, ctx in battery:
+        model = build_model(ctx)
+        for space in invariant_quotient_weights(model).values():
+            made.extend(x for v in space.solution_basis for x in v)
+        made.extend(model.x0.values())
+        for beta in model.lowering:
+            model.gx0_at(beta)
+        made.extend(c for vecs in model.gx0.values() for v in vecs for c in v.values())
+        modules += model.modules
+    made.extend(c for mod in modules for cols in mod._columns.values()
+                for col in cols.values() for _, c in col)
+    assert made and all(_follows_number_policy(x) for x in made)
 
 
 def test_integral_raises_on_a_remainder():

@@ -1,8 +1,11 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _targets():
@@ -21,3 +24,12 @@ def test_every_traced_function_exists():
     for module, function, _layer in targets:
         mod = importlib.import_module(f"sphmoduli.{module}")
         assert callable(getattr(mod, function, None)), f"sphmoduli.{module}.{function}"
+
+
+def test_benchmark_selftest_passes():
+    # the self-test runs genuine analyses through the benchmark's checker and
+    # the tracer's module-dimension check, so a module or report change that
+    # the benchmark would flag fails here first
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
