@@ -56,7 +56,7 @@ def analyze(args) -> tuple:
         return {"error": f"bad group: {e}"}, 2
     try:
         weights = json.loads(args.weights)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # int-string limit, deep nesting
         return {"error": f"bad weights JSON: {e}"}, 2
     if not isinstance(weights, list) or not all(
         isinstance(w, list) and all(type(c) is int for c in w) for w in weights

@@ -6,19 +6,17 @@ module is killed by every simple raising operator, so v -> (e_k v)_k is
 injective there, and the candidates f_j w at a weight satisfy exactly the
 linear relations of their raised vectors e_k f_j w, which lie in weight
 spaces already built.  One reduction of those keeps the first independent
-candidates and expands every candidate over them.  Basis vectors are
+candidates and expands every candidate over them, and the raised vectors
+of the kept candidates are their raising columns.  Basis vectors are
 Chevalley monomials f_i1 ... f_ik v+, tagged with their weight, so the
-torus acts diagonally; the contravariant form <f.u, w> = <u, e.w> is
-integral on them and formed on kept pairs only.  Coefficients follow the
-number policy of `linalg`: an int unless a division leaves a remainder.  A
-candidate weight is tested first against the simple-root string through its
-parent, whose upper part is already built; at a non-weight every candidate
-is zero and nothing is reduced.
+torus acts diagonally.  Coefficients follow the number policy of `linalg`:
+an int unless a division leaves a remainder.  A candidate weight is tested
+first against the simple-root string through its parent, whose upper part
+is already built; at a non-weight every candidate is zero and nothing is
+reduced.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from . import linalg
 from .rootsys import RootSystem, Weight, is_dominant, neg, positive_roots
@@ -90,36 +88,24 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict:
 
 
 class IrrepModule:
-    """Weight-graded basis with sparse simple raising/lowering actions, the
-    symmetric contravariant form stored per weight space, and the columns
-    of non-simple root operators built as they are asked for."""
+    """Weight-graded basis with sparse simple raising/lowering actions, and
+    the columns of non-simple root operators built as they are asked for."""
 
     def __init__(self, rs: RootSystem, highest: tuple):
         self.rs = rs
-        self.highest = highest
         self.dim = 1
         self.weights = [highest]          # fundamental coords per basis index
         self.depths = [tuple(0 for _ in range(rs.rank))]
         self.lower = [dict() for _ in range(rs.rank)]   # f_i combos, id -> [(id, coeff)]
         self.raise_ = [dict() for _ in range(rs.rank)]  # e_i combos
-        self.gram = {highest: ([0], [[1]])}   # weight -> (ids, int matrix)
-        self.position = [0]                   # id -> its place in gram[weight][0]
+        self.spaces = {highest: [0]}      # weight -> its ids, in order
+        self.position = [0]               # id -> its place in spaces[weight]
         # root -> {id: image column}, seeded with the simple tables filled in
         # by build_irrep; non-simple columns are added as they are asked for
         self._columns = {}
         for i, unit in enumerate(rs.simple_roots):
             self._columns[unit] = self.raise_[i]
             self._columns[neg(unit)] = self.lower[i]
-
-    def ids_of_weight(self, w) -> list:
-        entry = self.gram.get(tuple(w))
-        return list(entry[0]) if entry else []
-
-    def form(self, a: int, b: int) -> int:
-        wa = tuple(self.weights[a])
-        if tuple(self.weights[b]) != wa:
-            return 0
-        return self.gram[wa][1][self.position[a]][self.position[b]]
 
     def column(self, decomposition: dict, root: tuple, idx: int):
         """Image [(id, coeff)] of basis vector `idx` under the operator of a
@@ -191,15 +177,15 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
             # At a non-weight every candidate is zero and nothing is reduced.
             i, parent = cands[0]
             up, q = mod.weights[parent], 0
-            while (up := tuple(x + y for x, y in zip(up, alpha_w[i]))) in mod.gram:
+            while (up := tuple(x + y for x, y in zip(up, alpha_w[i]))) in mod.spaces:
                 q += 1
             if mod.weights[parent][i] + q < 1:
                 for i, parent in cands:
                     mod.lower[i][parent] = []
                 continue
             # raised[b][k] = e_k f_j w = f_j (e_k w) + [k == j] <a_k^v, wt w> w for b = (j, w),
-            # as (d, coefficients times d) on the kept basis at mu + a_k, the weight of
-            # the parents of the candidates (k, .); zero unless k is among them
+            # as [(id, coeff)] on the kept basis at mu + a_k, the weight of the parents
+            # of the candidates (k, .); zero unless k is among them
             above = {i: mod.weights[parent] for i, parent in cands}
             raised = [{} for _ in cands]
             for b, (j, w) in enumerate(cands):
@@ -208,19 +194,17 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
                     for z, cz in mod.raise_[k].get(w, ()):
                         for t, ct in mod.lower[j][z]:
                             combo[t] = combo.get(t, 0) + cz * ct
-                    d = lcm(*(c.denominator for c in combo.values()))
-                    raised[b][k] = (d, [(t, c.numerator * (d // c.denominator))
-                                        for t, c in sorted(combo.items()) if c])
+                    raised[b][k] = [(t, linalg.quotient(c.numerator, c.denominator))
+                                    for t, c in sorted(combo.items()) if c]
             # One column per candidate, one row per kept basis vector at each mu + a_k:
             # the pivots are the kept candidates, and column pos expands candidate pos
             # over them (a unit column when it is kept).
             rows = []
             for k, nu in above.items():
-                block = [[0] * len(cands) for _ in mod.gram[nu][0]]
+                block = [[0] * len(cands) for _ in mod.spaces[nu]]
                 for b, vec in enumerate(raised):
-                    d, x = vec[k]
-                    for t, c in x:
-                        block[place[t]][b] = linalg.quotient(c, d)
+                    for t, c in vec[k]:
+                        block[place[t]][b] = c
                 rows += block
             red, kept_pos = linalg.rref(rows)
             ids = list(range(mod.dim, mod.dim + len(kept_pos)))
@@ -229,25 +213,14 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
                 raise ArithmeticError(
                     f"module of highest weight {lam} outgrew its Weyl dimension {expected}")
             place.extend(range(len(ids)))
-            # <f_i u, f_j w> = <u, e_i f_j w>, the Gram row of u against a raised
-            # vector, on kept pairs; the form is symmetric, so the upper triangle
-            # is evaluated
-            gram = [[0] * len(ids) for _ in ids]
-            for a, pos in enumerate(kept_pos):
-                i, u = cands[pos]
-                row = mod.gram[mod.weights[u]][1][place[u]]
-                for b in range(a, len(ids)):
-                    d, x = raised[kept_pos[b]][i]
-                    gram[a][b] = gram[b][a] = _integral(sum(row[place[t]] * c for t, c in x), d)
             if ids:
-                mod.gram[mu] = (ids, gram)
+                mod.spaces[mu] = ids
             for idx, pos in zip(ids, kept_pos):
                 i, parent = cands[pos]
                 mod.weights.append(mu)
                 mod.depths.append(tuple(d + (j == i) for j, d in enumerate(mod.depths[parent])))
                 for k in range(n):
-                    d, x = raised[pos].get(k, (1, []))
-                    mod.raise_[k][idx] = [(t, linalg.quotient(c, d)) for t, c in x]
+                    mod.raise_[k][idx] = raised[pos].get(k, [])
             for pos, (i, parent) in enumerate(cands):
                 mod.lower[i][parent] = [(idx, red[r][pos]) for r, idx in enumerate(ids)
                                         if red[r][pos]]

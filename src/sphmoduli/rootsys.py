@@ -30,9 +30,12 @@ _TOKEN = re.compile(r"^([ABCDEFG])(\d{1,9})$")
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
-# Largest group accepted, by its number of positive roots: that of A100.
-# The catalog, and so the report, grows like the cube of the rank.
+# Largest group accepted, by its number of positive roots and by its rank:
+# those of A100.  The catalog, and so the report, grows like the cube of the
+# rank; a product of A1 factors has few positive roots, but its catalog holds
+# every orthogonal pair of simple roots as a vector of the full rank.
 _MAX_POSITIVE_ROOTS = 5050
+_MAX_TOTAL_RANK = 100
 
 
 class RootSystemError(ValueError):
@@ -153,6 +156,9 @@ def build_root_system(type_string: str) -> RootSystem:
             f"{type_string.strip()!r} has {count} positive roots, more than the "
             f"{_MAX_POSITIVE_ROOTS} of A100")
     total = sum(r for _, r in comps)
+    if total > _MAX_TOTAL_RANK:
+        raise RootSystemError(
+            f"{type_string.strip()!r} has rank {total}, more than the {_MAX_TOTAL_RANK} of A100")
     cartan = [[0] * total for _ in range(total)]
     symm: list[int] = []
     off = 0

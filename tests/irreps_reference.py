@@ -1,11 +1,14 @@
 """Pairwise construction of irreducible modules, the reference for the
 package's `build_irrep`.
 
-Every entry <f_i u, f_j w> of a candidate Gram matrix is expanded on its
-own, one level up via contravariance, in Fractions; the raising action on
-the kept vectors is then computed in a separate pass.  The package's
-builder must produce the same weights, depths, lowering and raising
-combinations and Gram matrices, equal by value.
+The candidates at each weight are reduced by their Gram matrix under the
+contravariant form, every entry <f_i u, f_j w> expanded on its own, one
+level up via contravariance, in Fractions; the raising action on the kept
+vectors is then computed in a separate pass.  The package reduces the
+raised vectors instead and keeps no form.  It must produce the same
+weights, depths, lowering and raising combinations, equal by value, and
+`ReferenceModule.form` is the form that the contravariance tests read
+against its tables.
 """
 
 from fractions import Fraction

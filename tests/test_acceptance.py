@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from catalog_bruteforce import bruteforce_catalog
+from irreps_reference import reference_irrep
 from sphmoduli import (
     build_context,
     build_model,
@@ -165,7 +166,10 @@ def test_criterion_6_representation_substrate(battery_analysis):
                 failures.append((name, lam, "dimension"))
             if Counter(tuple(w) for w in mod.weights) != freudenthal_multiplicities(ctx.rs, lam):
                 failures.append((name, lam, "multiplicities"))
-            if not _contravariant(mod):
+            ref = reference_irrep(ctx.rs, lam)
+            if (mod.lower, mod.raise_) != (ref.lower, ref.raise_):
+                failures.append((name, lam, "tables differ from the reference"))
+            if not _contravariant(mod, ref):
                 failures.append((name, lam, "contravariance"))
     ok = not failures
     _verdict(6, ok, f"{len(failures)} failures over "
@@ -177,24 +181,26 @@ def _pairs(records):
     return [(name, ctx) for name, ctx, *_ in records]
 
 
-def _contravariant(mod) -> bool:
-    # pairs in different weight spaces vanish on both sides by the grading,
-    # so it suffices to check the pairs with matching weights
+def _contravariant(mod, ref) -> bool:
+    # the contravariant form of the pairwise reference on the same basis,
+    # <e_i u, w> = <u, f_i w>, read against the module's tables; pairs in
+    # different weight spaces vanish on both sides by the grading, so it
+    # suffices to check the pairs with matching weights
     n = mod.rs.rank
-    for mu, (ids, _gram) in mod.gram.items():
+    for mu, ids in mod.spaces.items():
         for i in range(n):
-            upper = mod.ids_of_weight(tuple(
+            upper = mod.spaces.get(tuple(
                 m + x for m, x in zip(mu, mod.rs.root_to_weight(
                     tuple(1 if j == i else 0 for j in range(n))))
-            ))
+            ), ())
             for u in upper:
                 for w in ids:
                     lhs = sum(
-                        (c * mod.form(t, w) for t, c in mod.raise_[i].get(u, ())),
+                        (c * ref.form(t, w) for t, c in mod.raise_[i].get(u, ())),
                         Fraction(0),
                     )
                     rhs = sum(
-                        (c * mod.form(u, t) for t, c in mod.lower[i].get(w, ())),
+                        (c * ref.form(u, t) for t, c in mod.lower[i].get(w, ())),
                         Fraction(0),
                     )
                     if lhs != rhs:

@@ -85,12 +85,23 @@ def test_text_and_json_verdicts_agree(capsys):
     ("A2", "[[1,0],[2,0]]", "dependent"),
     ("A2", "[[1,0,0]]", "length"),
     ("A1xA1", "[[true,false],[false,true]]", "weights must be a JSON list of integer vectors"),
+    pytest.param("A2", "[[" + "1" * 5000 + "]]", "bad weights JSON", id="A2-5000-digits"),
+    pytest.param("A2", "[" * 3000 + "]" * 3000, "bad weights JSON", id="A2-3000-deep"),
+    pytest.param("x".join(["A1"] * 101), "[]", "rank 101", id="A1^101"),
 ])
 def test_validation_errors(capsys, group, weights, fragment):
     status = cli.main(["analyze", "--group", group, "--weights", weights])
     captured = capsys.readouterr()
     assert status == 2
     assert fragment in captured.out + captured.err
+
+
+def test_largest_rank_answers(capsys):
+    # A1^100 has the rank of A100, the largest accepted, and 100 positive roots
+    status, out = run_cli(capsys, "analyze", "--group", "x".join(["A1"] * 100),
+                          "--weights", "[]", "--json")
+    assert status == 0
+    assert json.loads(out)["tangent"]["dimension"] == 0
 
 
 def test_oracle_disagreement_exits_nonzero(capsys, monkeypatch):

@@ -87,17 +87,20 @@ def test_dimension_and_multiplicities(name, lam):
     ("B3", (1, 1, 0)),    # weight multiplicities up to 5
 ])
 def test_contravariance_on_all_pairs(name, lam):
+    # the contravariant form of the pairwise reference on the same basis,
+    # <e_i u, w> = <u, f_i w>, read against the module's tables
     rs = build_root_system(name)
     mod = build_irrep(rs, lam)
+    form = reference_irrep(rs, lam).form
     for u in range(mod.dim):
         for w in range(mod.dim):
             for i in range(rs.rank):
                 lhs = sum(
-                    (c * mod.form(t, w) for t, c in mod.raise_[i].get(u, ())),
+                    (c * form(t, w) for t, c in mod.raise_[i].get(u, ())),
                     Fraction(0),
                 )
                 rhs = sum(
-                    (c * mod.form(u, t) for t, c in mod.lower[i].get(w, ())),
+                    (c * form(u, t) for t, c in mod.lower[i].get(w, ())),
                     Fraction(0),
                 )
                 assert lhs == rhs
@@ -159,7 +162,7 @@ def test_nondominant_rejected():
 # Modules in ranks 2 to 6, for the pairwise reference and the integrality
 # checks; all but E6 w1 have multiplicities above 1.  In B4 w3, F4 w1 and
 # E6 w1, 133 of 197, 117 of 165 and 126 of 152 candidate weights of the
-# build are not weights, where it skips the Gram work.
+# build are not weights, where it skips the reduction.
 REFERENCE_CASES = [
     ("G2", (1, 1)),
     ("G2", (2, 1)),
@@ -179,7 +182,7 @@ def _assert_matches_reference(rs, lam, dim_cap=5000):
     mod = build_irrep(rs, lam, dim_cap=dim_cap)
     ref = reference_irrep(rs, lam)
     assert mod.dim == ref.dim
-    for attr in ("weights", "depths", "lower", "raise_", "gram"):
+    for attr in ("weights", "depths", "lower", "raise_"):
         assert getattr(mod, attr) == getattr(ref, attr), attr
 
 
@@ -203,11 +206,9 @@ def test_build_matches_reference_on_random_weights(name, lam):
 
 @pytest.mark.parametrize("name,lam", REFERENCE_CASES)
 def test_gram_entries_are_ints(name, lam):
-    # the form is integral on Chevalley monomials; operator coefficients
-    # are ints exactly when they are integral
+    # the number policy of the simple tables: a coefficient is an int
+    # exactly when it is integral
     mod = build_irrep(build_root_system(name), lam)
-    for _ids, mat in mod.gram.values():
-        assert all(type(x) is int for row in mat for x in row)
     for table in mod.lower + mod.raise_:
         for combo in table.values():
             assert all(_follows_number_policy(c) for _t, c in combo)
@@ -221,7 +222,16 @@ def test_one_reduction_per_weight_below_the_highest(monkeypatch, name, lam):
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
     mod = build_irrep(build_root_system(name), lam)
-    assert len(calls) == len(mod.gram) - 1
+    assert len(calls) == len(mod.spaces) - 1
+
+
+@pytest.mark.parametrize("name,lam", REFERENCE_CASES)
+def test_spaces_partition_the_basis_by_weight(name, lam):
+    mod = build_irrep(build_root_system(name), lam)
+    assert [idx for ids in mod.spaces.values() for idx in ids] == list(range(mod.dim))
+    for mu, ids in mod.spaces.items():
+        assert all(mod.weights[idx] == mu for idx in ids)
+        assert [mod.position[idx] for idx in ids] == list(range(len(ids)))
 
 
 def _follows_number_policy(x) -> bool:
@@ -277,8 +287,8 @@ def test_integral_raises_on_a_remainder():
 
 
 def test_build_stops_when_module_outgrows_weyl_dimension(monkeypatch):
-    # a build that makes more vectors than Weyl's formula allows has a wrong
-    # Gram matrix somewhere; it must fail, not keep growing the module
+    # a build that makes more vectors than Weyl's formula allows has kept a
+    # dependent candidate somewhere; it must fail, not keep growing the module
     from sphmoduli import irreps
     rs = build_root_system("G2")
     true_dim = weyl_dimension(rs, (1, 1))

@@ -52,11 +52,15 @@ def test_parse_errors(bad):
 
 def test_group_size_is_bounded_before_the_cartan_matrix():
     # A100 is the largest group accepted; a larger one is refused from its
-    # positive root count, before any rank x rank matrix is allocated
+    # positive root count, or from its rank, before any rank x rank matrix
+    # is allocated
     assert build_root_system("A100").rank == 100
+    assert build_root_system("x".join(["A1"] * 100)).rank == 100
     for name in ("A101", "A100000", "A100xA1"):
         with pytest.raises(RootSystemError, match="positive roots"):
             build_root_system(name)
+    with pytest.raises(RootSystemError, match="rank 101"):
+        build_root_system("x".join(["A1"] * 101))
 
 
 def test_parse_error_names_offending_token():

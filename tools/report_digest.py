@@ -16,7 +16,7 @@ every catalog subset of size at most 3, for every independent basis (the
 empty one included) of the small grids in `DECISION_GRIDS`.
 
 A third line digests the irreducible modules of `MODULES`: `weights`,
-`depths`, `lower`, `raise_` and `gram`, with every coefficient written as
+`depths`, `lower` and `raise_`, with every coefficient written as
 `str(Fraction(c))`, so an int and an equal Fraction digest alike.
 
 A fourth line digests the root operators on the same modules: the column
@@ -186,10 +186,8 @@ def module_digest() -> str:
     digest = hashlib.sha256()
     for group, lam in MODULES:
         mod = sm.build_irrep(sm.build_root_system(group), lam)
-        gram = [(mu, ids, [[str(Fraction(x)) for x in row] for row in mat])
-                for mu, (ids, mat) in sorted(mod.gram.items())]
         record = (group, lam, mod.weights, mod.depths, [table(t) for t in mod.lower],
-                  [table(t) for t in mod.raise_], gram)
+                  [table(t) for t in mod.raise_])
         digest.update(repr(record).encode())
         digest.update(b"\0")
     return f"modules {len(MODULES)} sha256 {digest.hexdigest()}"
