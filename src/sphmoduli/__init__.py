@@ -36,6 +36,7 @@ from .oracle import (
     build_model,
     codim1_orbit_weights,
     invariant_quotient_weights,
+    oracle_report,
     oracle_tangent_weights,
 )
 from .rootsys import (
@@ -90,6 +91,7 @@ __all__ = [
     "is_adapted_subset",
     "is_n_adapted_singleton",
     "is_n_adapted_subset",
+    "oracle_report",
     "oracle_tangent_weights",
     "positive_root_count",
     "positive_roots",

@@ -131,11 +131,10 @@ def analyze(args) -> tuple:
             ]
     if args.oracle:
         try:
-            model = oracle.build_model(ctx, dim_cap=args.irrep_dim_cap)
+            orep = oracle.oracle_report(ctx, dim_cap=args.irrep_dim_cap)
         except DimensionBudgetExceeded as e:
             report["oracle_error"] = str(e)
             return report, 2
-        orep = oracle.oracle_tangent_weights(model)
         agrees = (
             orep.weight_coords() == tangent.weight_coords()
             and all(d == 1 for d in orep.weights.values())

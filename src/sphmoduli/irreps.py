@@ -13,7 +13,8 @@ torus acts diagonally.  Coefficients follow the number policy of `linalg`:
 an int unless a division leaves a remainder.  A candidate weight is tested
 first against the simple-root string through its parent, whose upper part
 is already built; at a non-weight every candidate is zero and nothing is
-reduced.
+reduced, and at a weight with a single candidate that candidate spans the
+weight space, so it is kept without a reduction.
 """
 
 from __future__ import annotations
@@ -149,13 +150,20 @@ def _integral(num: int, den: int) -> int:
     return q
 
 
+def capped_dimension(rs: RootSystem, lam: tuple, dim_cap: int) -> int:
+    """The Weyl dimension of lam, refused with `DimensionBudgetExceeded`
+    above dim_cap."""
+    dim = weyl_dimension(rs, lam)
+    if dim > dim_cap:
+        raise DimensionBudgetExceeded(lam, dim, dim_cap)
+    return dim
+
+
 def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule:
     lam = tuple(int(c) for c in lam)
     if not is_dominant(lam):
         raise ValueError(f"highest weight must be dominant: {lam}")
-    expected = weyl_dimension(rs, lam)
-    if expected > dim_cap:
-        raise DimensionBudgetExceeded(lam, expected, dim_cap)
+    expected = capped_dimension(rs, lam, dim_cap)
 
     n = rs.rank
     alpha_w = [rs.root_to_weight(a) for a in rs.simple_roots]
@@ -198,15 +206,19 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
                                     for t, c in sorted(combo.items()) if c]
             # One column per candidate, one row per kept basis vector at each mu + a_k:
             # the pivots are the kept candidates, and column pos expands candidate pos
-            # over them (a unit column when it is kept).
-            rows = []
-            for k, nu in above.items():
-                block = [[0] * len(cands) for _ in mod.spaces[nu]]
-                for b, vec in enumerate(raised):
-                    for t, c in vec[k]:
-                        block[place[t]][b] = c
-                rows += block
-            red, kept_pos = linalg.rref(rows)
+            # over them (a unit column when it is kept).  A lone candidate spans the
+            # space of the weight mu on its own and is kept with no reduction.
+            if len(cands) == 1:
+                red, kept_pos = [[1]], [0]
+            else:
+                rows = []
+                for k, nu in above.items():
+                    block = [[0] * len(cands) for _ in mod.spaces[nu]]
+                    for b, vec in enumerate(raised):
+                        for t, c in vec[k]:
+                            block[place[t]][b] = c
+                    rows += block
+                red, kept_pos = linalg.rref(rows)
             ids = list(range(mod.dim, mod.dim + len(kept_pos)))
             mod.dim += len(ids)
             if mod.dim > expected:

@@ -12,20 +12,24 @@ The model keys g.x0 by twisted weight: the zero weight holds the highest
 vectors, and each positive root beta outside `f_perp` holds X_-beta.x0.
 Every other twisted weight has no part in g.x0.  `AmbientModel.gx0_at`
 builds each of these vectors when it is first read, so a root that no
-solve meets costs nothing.  The quotient is solved only at twisted weights
-of height at most ht theta + 1, the most an invariant class can have (see
-`invariant_quotient_weights`).  Root operators are built from the bracket
-decomposition of `chevalley.build_chevalley`.
+solve meets costs nothing.  The quotient is solved only at the lattice
+members of C = {a_i} + {beta + a_i : beta a positive root outside
+`f_perp`}, the only twisted weights where an invariant class can live (see
+`quotient_candidates`); C is read from the root system and the context, so
+`oracle_report` builds no model when it has no lattice member.  Root
+operators are built from the bracket decomposition of
+`chevalley.build_chevalley`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
 from .chevalley import build_chevalley
-from .irreps import build_irrep
+from .irreps import build_irrep, capped_dimension
 from .rootsys import neg, positive_roots, sub
 from .wmonoid import WeightMonoidContext
 
@@ -43,15 +47,18 @@ class AmbientModel:
     lowering: frozenset    # positive roots beta with X_-beta.x0 != 0: those outside f_perp
 
     def apply_root(self, root: tuple, vec: dict) -> dict:
-        """The operator of a root on a sparse vector of V, module by module;
-        only the columns of the vector's ids are built."""
+        """The operator of a root on a sparse vector of V, summand by
+        summand; each id goes to its summand by bisection over `offsets`,
+        and only the columns of the vector's ids are built."""
+        parts: dict = {}
+        for g, c in vec.items():
+            k = bisect_right(self.offsets, g) - 1
+            parts.setdefault(k, {})[g - self.offsets[k]] = c
         out = {}
-        for k, mod in enumerate(self.modules):
+        for k, part in parts.items():
             off = self.offsets[k]
-            part = {g - off: c for g, c in vec.items() if off <= g < off + mod.dim}
-            if part:
-                image = mod.apply_root(self.decomposition, root, part)
-                out.update((off + t, c) for t, c in image.items())
+            image = self.modules[k].apply_root(self.decomposition, root, part)
+            out.update((off + t, c) for t, c in image.items())
         return out
 
     def gx0_at(self, beta: tuple) -> list:
@@ -94,32 +101,36 @@ class InvariantSpace:
         return len(linalg.reduce_mod(self.boundary, self.solution_basis))
 
 
-def _height_cap(rs) -> int:
-    """ht theta + 1, theta the highest root (the highest over the simple
-    factors): no invariant class of the quotient sits above this height."""
-    return max(sum(beta) for beta in positive_roots(rs)) + 1
+def quotient_candidates(ctx: WeightMonoidContext) -> tuple:
+    """The twisted weights where the invariant quotient can be nonzero, in
+    sorted order: the members of C = {a_i} + {beta + a_i : beta a positive
+    root outside `f_perp`} that lie in the lattice of F.
+
+    A nonzero vector v of twisted weight gamma != 0 is not a highest
+    vector, since each summand of V has its highest line at twisted weight
+    0; so some e_i v is nonzero.  If v is invariant, e_i v lies in g.x0 at
+    twisted weight gamma - a_i, which holds g.x0 only at 0 and at the
+    positive roots outside `f_perp`; so gamma is in C.  The quotient lives
+    on the lattice of F by definition."""
+    simple = ctx.rs.simple_roots
+    outside = set(positive_roots(ctx.rs)) - set(ctx.f_perp)
+    c = set(simple)
+    c.update(tuple(x + y for x, y in zip(beta, a)) for beta in outside for a in simple)
+    return tuple(gamma for gamma in sorted(c) if ctx.in_lattice_root(gamma) is not None)
 
 
 def invariant_quotient_weights(model: AmbientModel) -> dict:
-    """For each candidate twisted weight, the subspace of the quotient of V
-    by g.x0 fixed by the isotropy algebra of x0, keyed by the weight's
-    simple-root coordinates.  Only nonzero spaces are returned.
-
-    Weights above `_height_cap` are skipped unsolved.  A nonzero vector v
-    of twisted weight gamma != 0 is not a highest vector, since each
-    summand of V has its highest line at twisted weight 0; so some e_i v is
-    nonzero.  If v is invariant, e_i v lies in g.x0 at twisted weight
-    gamma - a_i, which must then be 0 or a positive root: ht gamma is at
-    most ht theta + 1."""
-    ctx = model.ctx
-    cap = _height_cap(ctx.rs)
+    """For each twisted weight of `quotient_candidates` that V holds, the
+    subspace of the quotient of V by g.x0 fixed by the isotropy algebra of
+    x0, keyed by the weight's simple-root coordinates.  Only nonzero spaces
+    are returned; every other twisted weight has none, by the argument of
+    `quotient_candidates`, and is skipped unsolved."""
     out = {}
-    for gamma in sorted(model.ids_at):
-        if not any(gamma) or sum(gamma) > cap or ctx.in_lattice_root(gamma) is None:
-            continue
-        space = _invariant_space(model, gamma)
-        if space.dimension > 0:
-            out[gamma] = space
+    for gamma in quotient_candidates(model.ctx):
+        if gamma in model.ids_at:
+            space = _invariant_space(model, gamma)
+            if space.dimension > 0:
+                out[gamma] = space
     return out
 
 
@@ -207,3 +218,16 @@ def oracle_tangent_weights(model: AmbientModel,
         if dim >= 1:
             weights[gamma] = dim
     return OracleReport(weights=weights)
+
+
+def oracle_report(ctx: WeightMonoidContext, dim_cap: int = 5000) -> OracleReport:
+    """The oracle's tangent weights of a context.  The Weyl dimension of
+    each basis weight is held to dim_cap first, in basis order, whether or
+    not a module is built (`DimensionBudgetExceeded` names the first
+    offender); then, when `quotient_candidates` is empty, the report is
+    empty and no model is built."""
+    for lam in ctx.basis:
+        capped_dimension(ctx.rs, lam, dim_cap)
+    if not quotient_candidates(ctx):
+        return OracleReport(weights={})
+    return oracle_tangent_weights(build_model(ctx, dim_cap=dim_cap))

@@ -124,6 +124,56 @@ def test_oracle_disagreement_exits_nonzero(capsys, monkeypatch):
     assert report["oracle"]["weights"] == []
 
 
+def _count_module_builds(monkeypatch) -> list:
+    """Every call of `build_irrep`, from the oracle or from irreps itself."""
+    from sphmoduli import irreps, oracle
+
+    calls = []
+    original = irreps.build_irrep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(irreps, "build_irrep", counting)
+    monkeypatch.setattr(oracle, "build_irrep", counting)
+    return calls
+
+
+@pytest.mark.parametrize("group,weights", [
+    ("G2", "[[2,1]]"),          # the 189-dimensional module of the oracle corpus
+    ("F4", "[[0,0,1,0]]"),
+])
+def test_oracle_builds_no_module_without_candidates(capsys, monkeypatch, group, weights):
+    # no lattice twisted weight is a candidate for an invariant class, so
+    # the oracle answers, with the report it gave from the full model,
+    # without building a module
+    calls = _count_module_builds(monkeypatch)
+    status, out = run_cli(capsys, "analyze", "--group", group, "--weights", weights,
+                          "--json", "--oracle")
+    assert status == 0
+    assert calls == []
+    assert json.loads(out)["oracle"] == {
+        "weights": [], "coords": [], "multiplicities": [], "agrees": True}
+    # the counter does see a module that the oracle builds
+    assert run_cli(capsys, "analyze", "--group", "A1", "--weights", "[[2]]", "--oracle")[0] == 0
+    assert len(calls) == 1
+
+
+def test_dimension_cap_applies_without_a_module(capsys, monkeypatch):
+    # the cap still holds each basis weight's Weyl dimension where no
+    # module would be built
+    calls = _count_module_builds(monkeypatch)
+    status, out = run_cli(capsys, "analyze", "--group", "G2", "--weights", "[[2,1]]",
+                          "--json", "--oracle", "--irrep-dim-cap", "100")
+    assert status == 2
+    assert calls == []
+    report = json.loads(out)
+    assert report["oracle_error"] == \
+        "irreducible module of highest weight (2, 1) has dimension 189 > cap 100"
+    assert "oracle" not in report
+
+
 def test_budget_exhaustion_keeps_partial_subsets(capsys, monkeypatch):
     original = adapted.enumerate_n_adapted_subsets
 

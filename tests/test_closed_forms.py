@@ -6,11 +6,11 @@ point for a family of weight monoids, so it checks `tangent_space` and
 against the representation-theoretic route.
 """
 
-from itertools import product
-
 import pytest
 
 from sphmoduli import build_context, build_root_system, is_n_adapted_subset, tangent_space
+
+from rank_one_grid import rank_one_bases
 
 
 @pytest.mark.parametrize("name", [
@@ -37,26 +37,13 @@ def test_all_fundamental_weights_give_the_model_system(name):
     assert is_n_adapted_subset(ctx, weights).ok
 
 
-def _rank_one_bases():
-    """(group, lambda): coordinates up to 3 on rank 2, up to 2 on ranks 3
-    and 4, and 0 or 1 above; 1,002 weights over 16 types."""
-    groups = {3: ("A1", "A2", "B2", "G2"), 2: ("A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"),
-              1: ("A5", "E6", "E7", "E8")}
-    for top, names in groups.items():
-        for name in names:
-            rs = build_root_system(name)
-            for lam in product(range(top + 1), repeat=rs.rank):
-                if any(lam):
-                    yield rs, lam
-
-
 def test_rank_one_tangent_space_is_lambda_or_twice_lambda():
     """For Gamma generated by one weight lambda, the moduli scheme is a
     point or an affine line, so the tangent space has dimension at most 1,
     and its one weight is lambda or 2 lambda (Jansou, "Deformations des
     cones de vecteurs primitifs", Math. Ann. 338, 2007)."""
     count = 0
-    for rs, lam in _rank_one_bases():
+    for rs, lam in rank_one_bases():
         weights = tangent_space(build_context(rs, [lam])).weights
         assert len(weights) <= 1, (rs.components, lam)
         for w in weights:

@@ -216,13 +216,22 @@ def test_gram_entries_are_ints(name, lam):
 
 @pytest.mark.parametrize("name,lam", REFERENCE_CASES)
 def test_one_reduction_per_weight_below_the_highest(monkeypatch, name, lam):
-    # one rref per weight space below the highest, none at a candidate
-    # weight that is not a weight
+    # one rref per weight space with two or more candidates f_i w, none at
+    # a weight with a single candidate (it spans the space on its own) and
+    # none at a candidate weight that is not a weight
     calls = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
-    mod = build_irrep(build_root_system(name), lam)
-    assert len(calls) == len(mod.spaces) - 1
+    rs = build_root_system(name)
+    mod = build_irrep(rs, lam)
+    alpha_w = [rs.root_to_weight(a) for a in rs.simple_roots]
+
+    def candidates(mu):
+        # every basis vector at mu + a_i is a parent w of a candidate f_i w
+        return sum(len(mod.spaces.get(tuple(m + x for m, x in zip(mu, a)), ()))
+                   for a in alpha_w)
+
+    assert len(calls) == sum(1 for mu in mod.spaces if candidates(mu) >= 2)
 
 
 @pytest.mark.parametrize("name,lam", REFERENCE_CASES)

@@ -11,15 +11,19 @@ from sphmoduli import (
     codim1_orbit_weights,
     compatible_with_sp,
     invariant_quotient_weights,
+    oracle_report,
     oracle_tangent_weights,
     positive_roots,
     spherical_root_catalog,
     tangent_space,
+    weyl_dimension,
 )
-from sphmoduli import linalg
-from sphmoduli.oracle import _height_cap, _invariant_space
-from sphmoduli.rootsys import neg
+from sphmoduli import linalg, oracle
+from sphmoduli.oracle import _invariant_space, quotient_candidates
+from sphmoduli.rootsys import neg, sub
 from sphmoduli.wmonoid import DependentBasis
+
+from rank_one_grid import rank_one_bases
 
 
 @pytest.fixture(scope="module")
@@ -274,20 +278,28 @@ def test_gx0_keyed_by_twisted_weight(group, basis):
 
 
 def _assert_height_cap_drops_nothing(ctx):
-    """Solve the invariant space at every nonzero lattice weight of the
-    model: none above `_height_cap` is nonzero, and the capped quotient is
-    the uncapped one.  Returns the number of weights above the cap."""
+    """Solve the invariant space at every nonzero lattice twisted weight of
+    the full model: nonzero spaces occur only at `quotient_candidates`, the
+    lattice members of C = {a_i} + {beta + a_i : beta positive, outside
+    f_perp}, and the quotient is that full solve.  Returns the number of
+    solved weights outside C."""
     model = build_model(ctx)
-    cap = _height_cap(ctx.rs)
+    zero = (0,) * ctx.n
+    outside_perp = set(positive_roots(ctx.rs)) - set(ctx.f_perp)
+    candidates = set(quotient_candidates(ctx))
+    for gamma in candidates:
+        assert ctx.in_lattice_root(gamma) is not None, (ctx, gamma)
+        assert any(sub(gamma, a) == zero or sub(gamma, a) in outside_perp
+                   for a in ctx.rs.simple_roots), (ctx, gamma)
     dims = {gamma: _invariant_space(model, gamma).dimension for gamma in sorted(model.ids_at)
             if any(gamma) and ctx.in_lattice_root(gamma) is not None}
-    above = [gamma for gamma in dims if sum(gamma) > cap]
-    for gamma in above:
+    outside = [gamma for gamma in dims if gamma not in candidates]
+    for gamma in outside:
         assert dims[gamma] == 0, (ctx, gamma)
     quot = invariant_quotient_weights(model)
     assert {gamma: space.dimension for gamma, space in quot.items()} == \
         {gamma: d for gamma, d in dims.items() if d}, ctx
-    return len(above)
+    return len(outside)
 
 
 def test_height_cap_drops_nothing_on_the_battery(battery):
@@ -305,3 +317,23 @@ def test_height_cap_drops_nothing_on_the_battery(battery):
 def test_height_cap_drops_nothing_beyond_rank_three(group, nodes):
     rs = build_root_system(group)
     assert _assert_height_cap_drops_nothing(build_context(rs, _fundamentals(rs.rank, nodes))) > 0
+
+
+def test_rank_one_grid_two_routes_and_no_model_off_the_candidates(monkeypatch):
+    # Jansou's rank-one grid through the oracle's entry point: the same
+    # tangent weights as the combinatorial route on every weight, and no
+    # model wherever no lattice twisted weight is a candidate
+    built = []
+    original = oracle.build_model
+    monkeypatch.setattr(oracle, "build_model",
+                        lambda ctx, dim_cap=5000: built.append(ctx) or original(ctx, dim_cap))
+    grid = list(rank_one_bases())
+    cap = max(weyl_dimension(rs, lam) for rs, lam in grid)
+    for rs, lam in grid:
+        ctx = build_context(rs, [lam])
+        rep = oracle_report(ctx, dim_cap=cap)
+        assert rep.weight_coords() == tangent_space(ctx).weight_coords(), (rs.components, lam)
+        assert all(d == 1 for d in rep.weights.values()), (rs.components, lam)
+        assert (ctx in built) == bool(quotient_candidates(ctx)), (rs.components, lam)
+    assert len(grid) == 1002
+    assert len(grid) - len(built) == 957

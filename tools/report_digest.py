@@ -46,9 +46,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 
 # (group, weights, flags) beyond the benchmark corpora: deep groups on the
-# oracle, the oracle and the walk together, the zero lattice, a module
-# dimension cap that refuses, and the catalogs of long chains and of the D
-# fork at large rank.
+# oracle, the oracle and the walk together, the zero lattice, module
+# dimension caps that refuse (G2 2w1 + w2 where the oracle builds no
+# module), and the catalogs of long chains and of the D fork at large rank.
 EXTRA_CASES = (
     ("E6", [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]], ("--oracle",)),
     ("B3", [[1, 1, 1]], ("--oracle",)),
@@ -61,6 +61,7 @@ EXTRA_CASES = (
     ("A3", [[1, 0, 0], [1, 1, 0], [1, 1, 1]], ("--oracle", "--enumerate-subsets")),
     ("A2", [], ("--oracle",)),
     ("B2", [[2, 0]], ("--oracle", "--irrep-dim-cap", "3")),
+    ("G2", [[2, 1]], ("--oracle", "--irrep-dim-cap", "100")),
     ("A30", [], ()), ("A50", [], ()), ("D30", [], ()), ("B20", [], ()), ("C20", [], ()),
 )
 
