@@ -10,14 +10,17 @@ candidates and expands every candidate over them, and the raised vectors
 of the kept candidates are their raising columns.  Basis vectors are
 Chevalley monomials f_i1 ... f_ik v+, tagged with their weight, so the
 torus acts diagonally.  Coefficients follow the number policy of `linalg`:
-an int unless a division leaves a remainder.  A candidate weight is tested
-first against the simple-root string through its parent, whose upper part
-is already built; at a non-weight every candidate is zero and nothing is
-reduced, and at a weight with a single candidate that candidate spans the
-weight space, so it is kept without a reduction.
+an int unless a division leaves a remainder.  Each weight carries the
+length of every simple-root string below it, computed once from the
+weight above it on that string; a candidate weight below the end of the
+string is not formed, its candidates are zero and nothing is reduced, and
+at a weight with a single candidate that candidate spans the weight space,
+so it is kept without a reduction.
 """
 
 from __future__ import annotations
+
+import operator
 
 from . import linalg
 from .rootsys import RootSystem, Weight, is_dominant, neg, positive_roots
@@ -168,42 +171,52 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
     n = rs.rank
     alpha_w = [rs.root_to_weight(a) for a in rs.simple_roots]
     mod = IrrepModule(rs, lam)
-    place = mod.position
-    prev_ids = [0]
-    while prev_ids:
+    weights, spaces, place = mod.weights, mod.spaces, mod.position
+    lower, raise_ = mod.lower, mod.raise_
+    # below[nu][i] counts the steps of the a_i-string through the weight nu
+    # that lie below it: <nu, a_i^v> + q, where q counts the steps above it,
+    # all built at smaller depths.  So nu - a_i is a weight exactly when
+    # below[nu][i] >= 1.  A step down the string leaves one step fewer, and
+    # a weight mu with no weight mu + a_i is the top of its a_i-string (q = 0).
+    below = {lam: lam}
+    frontier = [lam]
+    while frontier:
         by_weight: dict = {}
-        for parent in prev_ids:
-            for i, a in enumerate(alpha_w):
-                mu = tuple(m - x for m, x in zip(mod.weights[parent], a))
-                by_weight.setdefault(mu, []).append((i, parent))
-        start = mod.dim
-        for mu in sorted(by_weight):
+        for nu in frontier:
+            parents = spaces[nu]
+            for i, steps in enumerate(below[nu]):
+                if steps < 1:
+                    # nu - a_i is not a weight: every candidate f_i w there is zero
+                    for w in parents:
+                        lower[i][w] = []
+                    continue
+                mu = tuple(map(operator.sub, nu, alpha_w[i]))
+                cands = by_weight.get(mu)
+                if cands is None:
+                    cands = by_weight[mu] = []
+                cands += [(i, w) for w in parents]
+        frontier = sorted(by_weight)
+        for mu in frontier:
             cands = by_weight[mu]
-            # mu = nu - a_i is a weight exactly when the a_i-string through nu
-            # reaches below nu: <nu, a_i^v> + q >= 1, where q counts the
-            # weights nu + a_i, nu + 2a_i, ..., all built at smaller depths.
-            # At a non-weight every candidate is zero and nothing is reduced.
-            i, parent = cands[0]
-            up, q = mod.weights[parent], 0
-            while (up := tuple(x + y for x, y in zip(up, alpha_w[i]))) in mod.spaces:
-                q += 1
-            if mod.weights[parent][i] + q < 1:
-                for i, parent in cands:
-                    mod.lower[i][parent] = []
-                continue
+            above = {i: weights[w] for i, w in cands}
+            below[mu] = tuple(below[above[i]][i] - 1 if i in above else c
+                              for i, c in enumerate(mu))
             # raised[b][k] = e_k f_j w = f_j (e_k w) + [k == j] <a_k^v, wt w> w for b = (j, w),
             # as [(id, coeff)] on the kept basis at mu + a_k, the weight of the parents
             # of the candidates (k, .); zero unless k is among them
-            above = {i: mod.weights[parent] for i, parent in cands}
-            raised = [{} for _ in cands]
-            for b, (j, w) in enumerate(cands):
+            raised = []
+            for j, w in cands:
+                lower_j = lower[j]
+                vec = {}
                 for k in above:
-                    combo: dict = {w: mod.weights[w][k]} if k == j else {}
-                    for z, cz in mod.raise_[k].get(w, ()):
-                        for t, ct in mod.lower[j][z]:
+                    combo: dict = {w: weights[w][k]} if k == j else {}
+                    for z, cz in raise_[k].get(w, ()):
+                        for t, ct in lower_j[z]:
                             combo[t] = combo.get(t, 0) + cz * ct
-                    raised[b][k] = [(t, linalg.quotient(c.numerator, c.denominator))
-                                    for t, c in sorted(combo.items()) if c]
+                    vec[k] = [(t, c if type(c) is int else
+                               linalg.quotient(c.numerator, c.denominator))
+                              for t, c in sorted(combo.items()) if c]
+                raised.append(vec)
             # One column per candidate, one row per kept basis vector at each mu + a_k:
             # the pivots are the kept candidates, and column pos expands candidate pos
             # over them (a unit column when it is kept).  A lone candidate spans the
@@ -213,28 +226,26 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
             else:
                 rows = []
                 for k, nu in above.items():
-                    block = [[0] * len(cands) for _ in mod.spaces[nu]]
+                    block = [[0] * len(cands) for _ in spaces[nu]]
                     for b, vec in enumerate(raised):
                         for t, c in vec[k]:
                             block[place[t]][b] = c
                     rows += block
                 red, kept_pos = linalg.rref(rows)
-            ids = list(range(mod.dim, mod.dim + len(kept_pos)))
-            mod.dim += len(ids)
+            start = mod.dim
+            mod.dim += len(kept_pos)
             if mod.dim > expected:
                 raise ArithmeticError(
                     f"module of highest weight {lam} outgrew its Weyl dimension {expected}")
-            place.extend(range(len(ids)))
-            if ids:
-                mod.spaces[mu] = ids
+            ids = spaces[mu] = list(range(start, mod.dim))
+            place += range(len(ids))
+            weights += [mu] * len(ids)
+            i, parent = cands[0]
+            depth = mod.depths[parent]
+            mod.depths += [depth[:i] + (depth[i] + 1,) + depth[i + 1:]] * len(ids)
             for idx, pos in zip(ids, kept_pos):
-                i, parent = cands[pos]
-                mod.weights.append(mu)
-                mod.depths.append(tuple(d + (j == i) for j, d in enumerate(mod.depths[parent])))
                 for k in range(n):
-                    mod.raise_[k][idx] = raised[pos].get(k, [])
+                    raise_[k][idx] = raised[pos].get(k, [])
             for pos, (i, parent) in enumerate(cands):
-                mod.lower[i][parent] = [(idx, red[r][pos]) for r, idx in enumerate(ids)
-                                        if red[r][pos]]
-        prev_ids = range(start, mod.dim)
+                lower[i][parent] = [(idx, row[pos]) for idx, row in zip(ids, red) if row[pos]]
     return mod

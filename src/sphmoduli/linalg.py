@@ -5,10 +5,12 @@ number policy holds here and in `irreps` and `oracle`: a value stays an
 int unless a division leaves a remainder, and only then is it a Fraction
 (`quotient`).  There is one elimination kernel, the incremental
 `Echelon`, and it is fraction-free: every row is first scaled by the lcm
-of its denominators to a primitive integer row (a row of ints skips that
-pass), rows are combined by cross-multiplication, and each result is
-divided by the gcd of its entries.  `Echelon` serves rank and
-independence.  `rref` finishes an `Echelon` of its rows by
+of its denominators to an integer row (a row of ints skips that pass),
+rows are combined by cross-multiplication, and a kept row is divided by
+the gcd of its entries once, when it is kept.  Every row reached on the
+way is a positive multiple of the one that dividing after each step would
+reach, so the kept rows are the same primitive rows.  `Echelon` serves
+rank and independence.  `rref` finishes an `Echelon` of its rows by
 back-substitution and divides by its pivots only at the end, so it
 returns the same values as Gauss-Jordan over the rationals (the reduced
 form is unique); it serves kernels and intersections.
@@ -31,16 +33,17 @@ def quotient(x, d: int):
     return Fraction(x, d) if r else q
 
 
-def _divide_gcd(row: list) -> list:
-    """An integer row divided by the gcd of its entries (a zero row stays zero)."""
+def _divide_gcd(row: Sequence) -> list:
+    """An integer row divided by the gcd of its entries, as a new list (a
+    zero row stays zero)."""
     g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return [x // g for x in row] if g > 1 else list(row)
 
 
-def _primitive(v: Sequence) -> list:
-    """`v` scaled by the lcm of its denominators to a primitive integer row."""
+def _integral_row(v: Sequence) -> list:
+    """`v` scaled by the lcm of its denominators to an integer row."""
     d = lcm(*(x.denominator for x in v))
-    return _divide_gcd([x.numerator * (d // x.denominator) for x in v])
+    return [x.numerator * (d // x.denominator) for x in v]
 
 
 def _eliminate(v: list, row: list, c: int) -> list:
@@ -66,17 +69,26 @@ class Echelon:
 
     def add(self, v: Sequence) -> bool:
         """Keep `v` when it is independent of the rows so far; report that.
-        A row of ints skips the denominator pass."""
-        v = _divide_gcd(v) if all(type(x) is int for x in v) else _primitive(v)
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                v = _eliminate(v, row, pc)
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is None:
+        A row of ints skips the denominator pass, and once the rows span
+        every column nothing more is kept."""
+        if len(self.rows) == len(v):
             return False
-        self.rows.append(v)
-        self.pivots.append(pivot)
-        return True
+        if not all(type(x) is int for x in v):
+            v = _integral_row(v)
+        for row, pc in zip(self.rows, self.pivots):
+            f = v[pc]
+            if f:
+                p = row[pc]
+                g = gcd(p, f)
+                p //= g
+                f //= g
+                v = [p * a - f * b for a, b in zip(v, row)]
+        for pivot, x in enumerate(v):
+            if x:
+                self.rows.append(_divide_gcd(v))
+                self.pivots.append(pivot)
+                return True
+        return False
 
     def copy(self) -> "Echelon":
         other = Echelon()
@@ -97,10 +109,12 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     rows = [ech.rows[k] for k in order]
     pivots = [ech.pivots[k] for k in order]
     for r in reversed(range(len(rows))):
+        pc = pivots[r]
         for i in range(r):
-            if rows[i][pivots[r]]:
-                rows[i] = _eliminate(rows[i], rows[r], pivots[r])
-    out = [[quotient(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+            if rows[i][pc]:
+                rows[i] = _eliminate(rows[i], rows[r], pc)
+    out = [row if row[c] == 1 else [quotient(x, row[c]) for x in row]
+           for row, c in zip(rows, pivots)]
     out += [[0] * cols for _ in range(len(m) - len(rows))]
     return out, pivots
 
@@ -131,11 +145,6 @@ def span_intersection(a_basis: list[Vec], b_basis: list[Vec]) -> list[Vec]:
     for ker in nullspace(m, len(a_basis) + len(b_basis)):
         ech.add([sum(c * a[i] for c, a in zip(ker, a_basis)) for i in range(dim)])
     return ech.rows
-
-
-def independent_subset(vectors: list[Vec]) -> list[Vec]:
-    """Greedy maximal independent sublist, preserving order."""
-    return reduce_mod([], vectors)
 
 
 def reduce_mod(basis: list[Vec], vectors: list[Vec]) -> list[Vec]:

@@ -15,10 +15,11 @@ builds each of these vectors when it is first read, so a root that no
 solve meets costs nothing.  The quotient is solved only at the lattice
 members of C = {a_i} + {beta + a_i : beta a positive root outside
 `f_perp`}, the only twisted weights where an invariant class can live (see
-`quotient_candidates`); C is read from the root system and the context, so
-`oracle_report` builds no model when it has no lattice member.  Root
-operators are built from the bracket decomposition of
-`chevalley.build_chevalley`.
+`quotient_candidates`); C is read from the root system and the context.
+`oracle_report` also drops the members that the extension filter would
+empty, and builds no model when none is left.  A zero space is decided by
+one rank (see `_invariant_space`).  Root operators are built from the
+bracket decomposition of `chevalley.build_chevalley`.
 """
 
 from __future__ import annotations
@@ -93,12 +94,10 @@ def build_model(ctx: WeightMonoidContext, dim_cap: int = 5000) -> AmbientModel:
 @dataclass
 class InvariantSpace:
     ids: list                  # global ids of its twisted weight: the local coordinates
-    solution_basis: list       # local vectors spanning the invariant preimage in V
+    dimension: int             # of the invariant preimage modulo the boundary
+    solution_basis: list       # local vectors spanning the invariant preimage in V,
+                               # solved only when the dimension is positive (else empty)
     boundary: list             # local part already inside g.x0 (0 or 1 vector)
-
-    @property
-    def dimension(self) -> int:
-        return len(linalg.reduce_mod(self.boundary, self.solution_basis))
 
 
 def quotient_candidates(ctx: WeightMonoidContext) -> tuple:
@@ -119,14 +118,17 @@ def quotient_candidates(ctx: WeightMonoidContext) -> tuple:
     return tuple(gamma for gamma in sorted(c) if ctx.in_lattice_root(gamma) is not None)
 
 
-def invariant_quotient_weights(model: AmbientModel) -> dict:
-    """For each twisted weight of `quotient_candidates` that V holds, the
-    subspace of the quotient of V by g.x0 fixed by the isotropy algebra of
-    x0, keyed by the weight's simple-root coordinates.  Only nonzero spaces
-    are returned; every other twisted weight has none, by the argument of
-    `quotient_candidates`, and is skipped unsolved."""
+def invariant_quotient_weights(model: AmbientModel, candidates: Optional[tuple] = None) -> dict:
+    """For each twisted weight of `candidates` (by default
+    `quotient_candidates`) that V holds, the subspace of the quotient of V
+    by g.x0 fixed by the isotropy algebra of x0, keyed by the weight's
+    simple-root coordinates.  Only nonzero spaces are returned; every
+    twisted weight outside `quotient_candidates` has none, by the argument
+    given there, and is skipped unsolved."""
+    if candidates is None:
+        candidates = quotient_candidates(model.ctx)
     out = {}
-    for gamma in quotient_candidates(model.ctx):
+    for gamma in candidates:
         if gamma in model.ids_at:
             space = _invariant_space(model, gamma)
             if space.dimension > 0:
@@ -136,36 +138,55 @@ def invariant_quotient_weights(model: AmbientModel) -> dict:
 
 def _invariant_space(model: AmbientModel, gamma: tuple) -> InvariantSpace:
     """Vectors of twisted weight gamma, in the local coordinates of
-    `model.ids_at[gamma]`, that every required operator sends into g.x0."""
+    `model.ids_at[gamma]`, that every required operator sends into g.x0.
+
+    The unknowns are the coordinates and one coefficient per g.x0 vector
+    that an operator may land on; the preimage is the projection of the
+    kernel onto the coordinates.  That projection is injective, because
+    the g.x0 vectors that one operator may land on are independent, and
+    the boundary lies in the preimage, because the required operators kill
+    x0 and so map g.x0 into itself.  So the dimension modulo the boundary
+    is cols - rank - len(boundary), and a zero space is decided by one
+    rank, with no kernel solved."""
     ctx = model.ctx
     rs = ctx.rs
     ids = model.ids_at[gamma]
     m = len(ids)
+    # each coordinate as (its summand, the summand's offset, its id in that module)
+    located = []
+    for gid in ids:
+        k = bisect_right(model.offsets, gid) - 1
+        located.append((k, model.offsets[k], gid - model.offsets[k]))
 
     # Required operators: all simple raisings, and the lowerings of simple
-    # roots orthogonal to every basis weight.
-    ops = list(rs.simple_roots) + [neg(rs.simple_roots[i]) for i in sorted(ctx.sp_gamma)]
+    # roots orthogonal to every basis weight, each with its simple table in
+    # every module, whose columns are read as they stand.
+    simple = rs.simple_roots
+    ops = [(simple[i], [mod.raise_[i] for mod in model.modules]) for i in range(rs.rank)]
+    ops += [(neg(simple[i]), [mod.lower[i] for mod in model.modules]) for i in sorted(ctx.sp_gamma)]
 
     # Unknowns: the m coordinates, then one coefficient per allowed g.x0
     # vector of each operator.  One equation per (operator, touched coordinate).
     equations = []
     cols = m
-    for root in ops:
+    for root, tables in ops:
         allowed = model.gx0_at(sub(gamma, root))
         touched: dict = {}
-        for c, gid in enumerate(ids):
-            for coord, val in model.apply_root(root, {gid: 1}).items():
-                touched.setdefault(coord, {})[c] = val
+        for c, (k, off, local) in enumerate(located):
+            for t, val in tables[k].get(local, ()):
+                touched.setdefault(off + t, {})[c] = val
         for a, av in enumerate(allowed):
             for coord, val in av.items():
                 touched.setdefault(coord, {})[cols + a] = -val
         cols += len(allowed)
         equations += touched.values()
     rows = [[eq.get(c, 0) for c in range(cols)] for eq in equations]
-    kernel = linalg.nullspace(rows, cols)
-    solution = linalg.independent_subset([kv[:m] for kv in kernel if any(kv[:m])])
     boundary = [[vec.get(gid, 0) for gid in ids] for vec in model.gx0_at(gamma)]
-    return InvariantSpace(ids=ids, solution_basis=solution, boundary=boundary)
+    dimension = cols - len(linalg.Echelon(rows)) - len(boundary)
+    # the projection is injective, so the projected kernel basis is a basis
+    solution = [kv[:m] for kv in linalg.nullspace(rows, cols)] if dimension > 0 else []
+    return InvariantSpace(ids=ids, dimension=dimension, solution_basis=solution,
+                          boundary=boundary)
 
 
 def codim1_orbit_weights(ctx: WeightMonoidContext) -> frozenset:
@@ -221,13 +242,21 @@ def oracle_tangent_weights(model: AmbientModel,
 
 
 def oracle_report(ctx: WeightMonoidContext, dim_cap: int = 5000) -> OracleReport:
-    """The oracle's tangent weights of a context.  The Weyl dimension of
-    each basis weight is held to dim_cap first, in basis order, whether or
-    not a module is built (`DimensionBudgetExceeded` names the first
-    offender); then, when `quotient_candidates` is empty, the report is
-    empty and no model is built."""
-    for lam in ctx.basis:
-        capped_dimension(ctx.rs, lam, dim_cap)
-    if not quotient_candidates(ctx):
+    """The oracle's tangent weights of a context: those of
+    `oracle_tangent_weights` on the full quotient, with less work.  A
+    candidate of `quotient_candidates` with a coefficient above 1 on a
+    codimension-one degeneration is dropped unsolved, since the extension
+    filter empties it.  When no candidate is left the report is empty and
+    no model is built, but the Weyl dimension of each basis weight is still
+    held to dim_cap, in basis order; otherwise `build_irrep` holds it, in
+    the same order (`DimensionBudgetExceeded` names the first offender
+    either way)."""
+    codim1 = codim1_orbit_weights(ctx)
+    candidates = tuple(gamma for gamma in quotient_candidates(ctx)
+                       if all(ctx.in_lattice_root(gamma)[k] <= 1 for k in codim1))
+    if not candidates:
+        for lam in ctx.basis:
+            capped_dimension(ctx.rs, lam, dim_cap)
         return OracleReport(weights={})
-    return oracle_tangent_weights(build_model(ctx, dim_cap=dim_cap))
+    model = build_model(ctx, dim_cap=dim_cap)
+    return oracle_tangent_weights(model, invariant_quotient_weights(model, candidates))

@@ -5,10 +5,13 @@ Every pivot row is scaled to pivot 1 at once and every other row is
 cleared with Fraction arithmetic.  The reduced form is unique, so the
 package's `rref` and `nullspace` must return exactly what these return.
 `reference_solve_unique` serves `wmonoid_reference` as the exact solve
-behind lattice membership.
+behind lattice membership.  `reference_echelon` is the echelon form that
+divides by the gcd after every step; the package's `Echelon` divides once
+per kept row and must keep the same rows and pivots.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def reference_rref(m):
@@ -72,3 +75,31 @@ def reference_nullspace(a, cols):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def _primitive(v):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
+
+
+def reference_echelon(m):
+    """(rows, pivots) of the echelon form grown one row at a time: each row
+    scaled to a primitive integer row, reduced by the kept rows in the
+    order they were kept, every combination divided by the gcd of its
+    entries at once, and kept with its first nonzero column as pivot when
+    it does not vanish."""
+    rows, pivots = [], []
+    for v in m:
+        v = [Fraction(x) for x in v]
+        d = lcm(*(x.denominator for x in v))
+        v = _primitive([x.numerator * (d // x.denominator) for x in v])
+        for row, pc in zip(rows, pivots):
+            if v[pc]:
+                g = gcd(row[pc], v[pc])
+                v = _primitive([row[pc] // g * a - v[pc] // g * b for a, b in zip(v, row)])
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            rows.append(v)
+            pivots.append(pivot)
+    return rows, pivots

@@ -4,13 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import (
+    reference_echelon,
     reference_nullspace,
     reference_rank,
     reference_rref,
 )
 from sphmoduli.linalg import (
     Echelon,
-    independent_subset,
     nullspace,
     reduce_mod,
     rref,
@@ -26,13 +26,6 @@ def _matrices(cols):
 
 
 _pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(_matrices(n), _matrices(n)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_pairs)
-def test_independent_subset_has_rref_rank(pair):
-    m, _ = pair
-    assert len(independent_subset(m)) == _rref_rank(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,3 +103,23 @@ def test_echelon_int_rows_match_fraction_rows(m):
         assert ints.add(tuple(row)) == fracs.add([Fraction(x) for x in row])
     assert ints.pivots == fracs.pivots
     assert [list(r) for r in ints.rows] == fracs.rows
+
+
+def _with_dependent_rows(shaped):
+    """A matrix of `_shaped` followed by integer combinations of its rows."""
+    cols, m = shaped
+    combos = st.lists(st.lists(st.integers(-2, 2), min_size=len(m), max_size=len(m)),
+                      max_size=3 if m else 0)
+    return combos.map(lambda combos: m + [[sum(c * row[j] for c, row in zip(coeffs, m))
+                                           for j in range(cols)] for coeffs in combos])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaped.flatmap(_with_dependent_rows))
+@example([[0, 2, 4], [1, 1, 1], [2, 4, 6], [0, 0, 0], [3, 0, -3]])
+@example([[Fraction(1, 2), Fraction(1, 3)], [3, 2], [0, 0], [Fraction(-6, 5), 4]])
+def test_echelon_matches_step_by_step_reference(m):
+    # one gcd per kept row keeps the rows and pivots of dividing after
+    # every step, with zero rows, dependent rows, ints and Fractions
+    ech = Echelon(m)
+    assert (ech.rows, ech.pivots) == reference_echelon(m)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,11 +19,13 @@ from sphmoduli import (
     tangent_space,
     weyl_dimension,
 )
-from sphmoduli import linalg, oracle
+from sphmoduli import irreps, linalg, oracle
 from sphmoduli.oracle import _invariant_space, quotient_candidates
 from sphmoduli.rootsys import neg, sub
 from sphmoduli.wmonoid import DependentBasis
 
+from conftest import IRREP_DIM_LIMIT
+from linalg_reference import reference_nullspace, reference_rank
 from rank_one_grid import rank_one_bases
 
 
@@ -337,3 +340,138 @@ def test_rank_one_grid_two_routes_and_no_model_off_the_candidates(monkeypatch):
         assert (ctx in built) == bool(quotient_candidates(ctx)), (rs.components, lam)
     assert len(grid) == 1002
     assert len(grid) - len(built) == 957
+
+
+def _reference_dimension(model, gamma):
+    """The invariant space at gamma by a full solve: the equations of every
+    required operator, read through `model.apply_root`, their kernel by
+    `reference_nullspace`, and the rank of its projection to the
+    coordinates modulo the boundary."""
+    ctx = model.ctx
+    ids = model.ids_at[gamma]
+    m = len(ids)
+    simple = ctx.rs.simple_roots
+    equations = []
+    cols = m
+    for root in list(simple) + [neg(simple[i]) for i in sorted(ctx.sp_gamma)]:
+        allowed = model.gx0_at(sub(gamma, root))
+        touched = {}
+        for c, gid in enumerate(ids):
+            for coord, val in model.apply_root(root, {gid: 1}).items():
+                touched.setdefault(coord, {})[c] = val
+        for a, vec in enumerate(allowed):
+            for coord, val in vec.items():
+                touched.setdefault(coord, {})[cols + a] = -val
+        cols += len(allowed)
+        equations += touched.values()
+    rows = [[eq.get(c, 0) for c in range(cols)] for eq in equations]
+    preimage = [v[:m] for v in reference_nullspace(rows, cols)]
+    boundary = [[vec.get(gid, 0) for gid in ids] for vec in model.gx0_at(gamma)]
+    return reference_rank(boundary + preimage) - reference_rank(boundary)
+
+
+def _assert_rank_test_and_prefilter(ctx):
+    """At every nonzero twisted weight of the model, the dimension of the
+    rank test is that of the full solve; and `oracle_report`, which drops
+    candidates unsolved, reports what the unfiltered path does.  Returns
+    the number of weights compared."""
+    model = build_model(ctx)
+    weights = [gamma for gamma in sorted(model.ids_at) if any(gamma)]
+    for gamma in weights:
+        assert _invariant_space(model, gamma).dimension == \
+            _reference_dimension(model, gamma), (ctx.rs.components, ctx.basis, gamma)
+    assert oracle_report(ctx) == \
+        oracle_tangent_weights(model, invariant_quotient_weights(model)), ctx.basis
+    return len(weights)
+
+
+def test_rank_test_and_prefilter_on_the_battery(battery):
+    assert sum(_assert_rank_test_and_prefilter(ctx) for _, ctx in battery) > 0
+
+
+@pytest.mark.parametrize("group,coords", [
+    ("A1", (0, 1, 2)), ("A1xA1", (0, 1, 2)), ("A2", (0, 1, 2)), ("B2", (0, 1, 2)),
+    ("G2", (0, 1, 2)), ("A3", (0, 1)), ("B3", (0, 1)), ("C3", (0, 1)), ("A2xA1", (0, 1)),
+])
+def test_rank_test_and_prefilter_on_small_grids(group, coords):
+    # every independent basis over the coordinates whose modules stay
+    # within the battery's dimension limit (that leaves out the bases
+    # holding G2 (2,2) or rho of B3 or C3, which would take most of the time)
+    rs = build_root_system(group)
+    vectors = [v for v in product(coords, repeat=rs.rank)
+               if any(v) and weyl_dimension(rs, v) <= IRREP_DIM_LIMIT]
+    compared = 0
+    for basis in (b for r in range(1, rs.rank + 1) for b in combinations(vectors, r)):
+        try:
+            ctx = build_context(rs, list(basis))
+        except DependentBasis:
+            continue
+        compared += _assert_rank_test_and_prefilter(ctx)
+    assert compared > 0
+
+
+@pytest.mark.parametrize("group,nodes", [
+    ("A4", (1, 2, 3, 4)),
+    ("B4", (1, 2, 3, 4)),
+    ("C4", (1, 2, 3, 4)),
+    ("D4", (1, 2, 3, 4)),
+    ("F4", (1, 4)),
+    ("F4", (3,)),
+])
+def test_rank_test_and_prefilter_beyond_rank_three(group, nodes):
+    rs = build_root_system(group)
+    assert _assert_rank_test_and_prefilter(build_context(rs, _fundamentals(rs.rank, nodes))) > 0
+
+
+def _count_oracle_work(monkeypatch):
+    """Calls of `quotient_candidates`, the highest weights whose Weyl
+    dimension is computed, and the contexts given to `build_model`."""
+    calls = {"candidates": 0, "weyl": [], "models": []}
+    candidates, weyl, model = (oracle.quotient_candidates, irreps.weyl_dimension,
+                               oracle.build_model)
+
+    def counting_candidates(ctx):
+        calls["candidates"] += 1
+        return candidates(ctx)
+
+    monkeypatch.setattr(oracle, "quotient_candidates", counting_candidates)
+    monkeypatch.setattr(irreps, "weyl_dimension",
+                        lambda rs, lam: calls["weyl"].append(tuple(lam)) or weyl(rs, lam))
+    monkeypatch.setattr(oracle, "build_model",
+                        lambda ctx, dim_cap=5000: calls["models"].append(ctx) or model(ctx, dim_cap))
+    return calls
+
+
+@pytest.mark.parametrize("group,basis,builds", [
+    ("B3", [(1, 0, 0), (0, 0, 1)], True),
+    ("E6", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)], True),
+    ("G2", [(2, 1)], False),                            # no candidate in the lattice
+    ("A1xA1xA1", [(0, 1, 1), (1, 0, 1), (1, 1, 1)], False),  # every candidate dropped
+])
+def test_oracle_report_does_each_piece_of_work_once(monkeypatch, group, basis, builds):
+    ctx = build_context(build_root_system(group), basis)
+    calls = _count_oracle_work(monkeypatch)
+    oracle_report(ctx)
+    assert calls["candidates"] == 1
+    assert calls["weyl"] == list(ctx.basis)
+    assert len(calls["models"]) == builds
+
+
+@pytest.mark.parametrize("basis", [
+    [(0, 1, 1), (1, 0, 1), (1, 1, 1)],
+    [(0, 1, 1), (1, 1, 0), (1, 1, 1)],
+    [(1, 0, 1), (1, 1, 0), (1, 1, 1)],
+])
+def test_prefilter_builds_no_model_when_every_candidate_is_dropped(monkeypatch, basis):
+    # three bases of the sweep corpus: each has nine candidates, and each
+    # candidate has a coefficient above 1 on a codimension-one degeneration,
+    # so the extension filter would empty every one of them
+    ctx = build_context(build_root_system("A1xA1xA1"), basis)
+    candidates = quotient_candidates(ctx)
+    codim1 = codim1_orbit_weights(ctx)
+    assert len(candidates) == 9
+    assert all(any(ctx.in_lattice_root(gamma)[k] > 1 for k in codim1) for gamma in candidates)
+    calls = _count_oracle_work(monkeypatch)
+    assert oracle_report(ctx).weights == {}
+    assert calls["models"] == []
+    assert oracle_tangent_weights(build_model(ctx)).weights == {}
