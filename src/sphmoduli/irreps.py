@@ -191,10 +191,7 @@ def build_irrep(rs: RootSystem, lam: Weight, dim_cap: int = 5000) -> IrrepModule
                         lower[i][w] = []
                     continue
                 mu = tuple(map(operator.sub, nu, alpha_w[i]))
-                cands = by_weight.get(mu)
-                if cands is None:
-                    cands = by_weight[mu] = []
-                cands += [(i, w) for w in parents]
+                by_weight.setdefault(mu, []).extend((i, w) for w in parents)
         frontier = sorted(by_weight)
         for mu in frontier:
             cands = by_weight[mu]
