@@ -14,7 +14,6 @@ from .adapted import (
     SphericalSystemCheck,
     SubsetRecord,
     TangentReport,
-    check_span_closure,
     check_system_axioms,
     enumerate_n_adapted_subsets,
     is_adapted_singleton,
@@ -28,7 +27,6 @@ from .irreps import (
     DimensionBudgetExceeded,
     IrrepModule,
     build_irrep,
-    freudenthal_multiplicities,
     weyl_dimension,
 )
 from .oracle import (
@@ -43,14 +41,12 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     build_root_system,
-    classify_subdiagram,
     positive_root_count,
     positive_roots,
 )
 from .sphroots import SphericalRoot, compatible_with_sp, spherical_root_catalog
 from .wmonoid import (
     DependentBasis,
-    LatticeMembershipError,
     NonDominantWeight,
     WeightMonoidContext,
     build_context,
@@ -63,7 +59,6 @@ __all__ = [
     "DependentBasis",
     "DimensionBudgetExceeded",
     "IrrepModule",
-    "LatticeMembershipError",
     "NAdaptedVerdict",
     "NonDominantWeight",
     "RootSystem",
@@ -79,13 +74,10 @@ __all__ = [
     "build_irrep",
     "build_model",
     "build_root_system",
-    "check_span_closure",
     "check_system_axioms",
-    "classify_subdiagram",
     "codim1_orbit_weights",
     "compatible_with_sp",
     "enumerate_n_adapted_subsets",
-    "freudenthal_multiplicities",
     "invariant_quotient_weights",
     "is_adapted_singleton",
     "is_adapted_subset",

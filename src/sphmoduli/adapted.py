@@ -90,7 +90,7 @@ def _singleton(ctx: WeightMonoidContext, root: SphericalRoot, strict: bool) -> S
             if c > 0 and not _coroot_is_ray_multiple(ctx, k):
                 return SingletonVerdict(root, False, COND_RAYS)
     if root.kind == KIND_SIMPLE:
-        colors = ctx.color_functionals(root.simple_index)
+        colors = ctx.colors[root.simple_index]
         wanted = (2,) if strict else (1, 2)
         if len(colors) not in wanted:
             return SingletonVerdict(root, False, COND_COLOR_COUNT)
@@ -350,8 +350,9 @@ def is_adapted_subset(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) 
     v = check.verdicts
 
     # Augmentation of the pairing to the full lattice generated by F.  The
-    # two color functionals of a simple member already sum to its coroot
-    # (see `color_functionals`), so only sigma1 and sigma2 can fail here.
+    # two color functionals of a simple member, e_k and the coroot minus
+    # e_k, already sum to its coroot (see `WeightMonoidContext.colors`), so
+    # only sigma1 and sigma2 can fail here.
     v["sigma1"] = v["sigma2"] = True
     for r, f in zip(sigma, facts):
         if f.condition:
@@ -472,40 +473,3 @@ def _flag_maximal(accepted: list) -> list[SubsetRecord]:
         maximal = not any(keys[i] < keys[j] for j in range(len(accepted)) if j != i)
         records.append(SubsetRecord(tuple(accepted[i]), maximal))
     return records
-
-
-def check_span_closure(ctx: WeightMonoidContext, sigma: Sequence[SphericalRoot]) -> bool:
-    """No catalog root outside the set, lying in its nonnegative integer
-    span, may pass the strict singleton test.  Every member must pass it;
-    that precondition is enforced."""
-    sigma = tuple(sigma)
-    for r in sigma:
-        if not is_n_adapted_singleton(ctx, r).ok:
-            raise ValueError(f"precondition violated: {r.name()} is not N-adapted")
-    members = {r.coords for r in sigma}
-    for root in spherical_root_catalog(ctx.rs):
-        if root.coords in members:
-            continue
-        if _in_nonnegative_span(root.coords, [r.coords for r in sigma]):
-            if is_n_adapted_singleton(ctx, root).ok:
-                return False
-    return True
-
-
-def _in_nonnegative_span(target: tuple, generators: list) -> bool:
-    if all(c == 0 for c in target):
-        return True
-    if not generators:
-        return False
-    head, rest = generators[0], generators[1:]
-    bound = min(
-        (target[i] // head[i] for i in range(len(target)) if head[i]),
-        default=0,
-    )
-    for k in range(bound + 1):
-        remainder = tuple(t - k * h for t, h in zip(target, head))
-        if any(x < 0 for x in remainder):
-            break
-        if _in_nonnegative_span(remainder, rest):
-            return True
-    return False

@@ -245,27 +245,7 @@ def positive_root_count(typ: str, rank: int) -> int:
 class SubdiagramComponent:
     dynkin_type: str
     rank: int
-    indices: tuple            # global indices, sorted
     labelings: tuple          # each maps Bourbaki position 0..rank-1 -> global index
-
-
-def _connected_components(rs: RootSystem, subset: Iterable[int]) -> list[tuple]:
-    todo = set(subset)
-    comps = []
-    while todo:
-        seed = min(todo)
-        comp = {seed}
-        stack = [seed]
-        todo.discard(seed)
-        while stack:
-            i = stack.pop()
-            for j in list(todo):
-                if rs.cartan[i][j] != 0:
-                    comp.add(j)
-                    todo.discard(j)
-                    stack.append(j)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
 
 
 def _bourbaki_orders(rs: RootSystem, indices: tuple) -> Iterator[tuple]:
@@ -313,21 +293,11 @@ def _match_labelings(rs: RootSystem, orders: Iterable[tuple], edges: list[tuple]
 
 
 def classify_component(rs: RootSystem, comp: tuple) -> SubdiagramComponent:
-    """Type and every Bourbaki-consistent labeling of a connected subdiagram,
-    its indices sorted."""
+    """Type and every Bourbaki-consistent labeling of a connected subdiagram."""
     k = len(comp)
     orders = tuple(_bourbaki_orders(rs, comp))
     for typ in (t for t in "ABCDEFG" if _rank_allowed(t, k)):
         labelings = _match_labelings(rs, orders, dynkin_edges(typ, k))
         if labelings:
-            return SubdiagramComponent(typ, k, comp, tuple(labelings))
+            return SubdiagramComponent(typ, k, tuple(labelings))
     raise RootSystemError(f"subdiagram {comp} matches no Dynkin type")
-
-
-def classify_subdiagram(rs: RootSystem, subset: Iterable[int]) -> list[SubdiagramComponent]:
-    """Split the induced subdiagram into components, each with its type and
-    every Bourbaki-consistent labeling."""
-    subset = sorted(set(subset))
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    return [classify_component(rs, comp) for comp in _connected_components(rs, subset)]

@@ -42,10 +42,6 @@ class DependentBasis(ValueError):
     pass
 
 
-class LatticeMembershipError(ValueError):
-    pass
-
-
 def _cone(f: tuple) -> tuple:
     """(rays, nonnegative) of the functional with values f on F: the k for
     which f is a positive multiple of the k-th dual basis functional, that
@@ -130,6 +126,10 @@ class WeightMonoidContext:
     # -- functionals ---------------------------------------------------------
 
     def _color_functionals(self, i: int) -> Optional[tuple]:
+        """The functionals taking value 1 on the i-th simple root that are a
+        dual-basis element or the coroot minus one, or None when the root
+        lies outside the lattice.  These are the candidate color pairings
+        attached to a simple spherical root."""
         coeffs = self.in_lattice_root(self.rs.simple_roots[i])
         if coeffs is None:
             return None
@@ -139,17 +139,6 @@ class WeightMonoidContext:
                 e = self.dual_basis[k]
                 out |= {e, tuple(a - b for a, b in zip(self.coroots[i], e))}
         return tuple(sorted(out))
-
-    def color_functionals(self, i: int) -> tuple:
-        """The functionals taking value 1 on the i-th simple root that are a
-        dual-basis element or the coroot minus one.  These are the candidate
-        color pairings attached to a simple spherical root."""
-        colors = self.colors[i]
-        if colors is None:
-            raise LatticeMembershipError(
-                f"simple root #{i} does not lie in the lattice generated by F"
-            )
-        return colors
 
     def __repr__(self):
         return f"WeightMonoidContext({self.rs.components}, F={list(self.basis)})"

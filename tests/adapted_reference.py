@@ -11,6 +11,10 @@ counts instead; the two must give the same `ok` and `witness`.
 catalog and decides each with `is_n_adapted_subset`.
 `adapted.enumerate_n_adapted_subsets` walks only the roots without a
 member-level exit; the two must give the same records.
+
+`check_span_closure` states a property of the accepted sets, not a second
+decision: no catalog root outside an N-adapted set, in its nonnegative
+integer span, passes the strict singleton test.
 """
 
 from itertools import product
@@ -21,6 +25,7 @@ from sphmoduli.adapted import (
     SubsetRecord,
     _half,
     is_adapted_subset,
+    is_n_adapted_singleton,
     is_n_adapted_subset,
 )
 from sphmoduli.sphroots import KIND_DOUBLE, KIND_SIMPLE, spherical_root_catalog
@@ -39,7 +44,7 @@ def reference_n_adapted_subset(ctx, sigma) -> NAdaptedVerdict:
             continue
         image = set()
         for r in candidate:
-            if r.kind == KIND_SIMPLE and len(ctx.color_functionals(r.simple_index)) == 1:
+            if r.kind == KIND_SIMPLE and len(ctx.colors[r.simple_index]) == 1:
                 image.add(tuple(2 * c for c in r.coords))
             else:
                 image.add(r.coords)
@@ -76,3 +81,40 @@ def reference_n_adapted_subsets(ctx, max_size=None) -> list:
     keys = [frozenset(r.coords for r in s) for s in accepted]
     order = sorted(range(len(accepted)), key=lambda i: (len(keys[i]), sorted(keys[i])))
     return [SubsetRecord(accepted[i], not any(keys[i] < other for other in keys)) for i in order]
+
+
+def check_span_closure(ctx, sigma) -> bool:
+    """No catalog root outside the set, lying in its nonnegative integer
+    span, may pass the strict singleton test.  Every member must pass it;
+    that precondition is enforced."""
+    sigma = tuple(sigma)
+    for r in sigma:
+        if not is_n_adapted_singleton(ctx, r).ok:
+            raise ValueError(f"precondition violated: {r.name()} is not N-adapted")
+    members = {r.coords for r in sigma}
+    for root in spherical_root_catalog(ctx.rs):
+        if root.coords in members:
+            continue
+        if _in_nonnegative_span(root.coords, [r.coords for r in sigma]):
+            if is_n_adapted_singleton(ctx, root).ok:
+                return False
+    return True
+
+
+def _in_nonnegative_span(target, generators) -> bool:
+    if all(c == 0 for c in target):
+        return True
+    if not generators:
+        return False
+    head, rest = generators[0], generators[1:]
+    bound = min(
+        (target[i] // head[i] for i in range(len(target)) if head[i]),
+        default=0,
+    )
+    for k in range(bound + 1):
+        remainder = tuple(t - k * h for t, h in zip(target, head))
+        if any(x < 0 for x in remainder):
+            break
+        if _in_nonnegative_span(remainder, rest):
+            return True
+    return False

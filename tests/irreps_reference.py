@@ -9,12 +9,16 @@ raised vectors instead and keeps no form.  It must produce the same
 weights, depths, lowering and raising combinations, equal by value, and
 `ReferenceModule.form` is the form that the contravariance tests read
 against its tables.
+
+`freudenthal_multiplicities` gives the weight multiplicities without a
+module, which the package's modules must reproduce.
 """
 
 from fractions import Fraction
 
 from sphmoduli import linalg
-from sphmoduli.rootsys import is_dominant
+from sphmoduli.irreps import _integral
+from sphmoduli.rootsys import is_dominant, positive_roots
 
 
 class ReferenceModule:
@@ -114,3 +118,47 @@ def reference_irrep(rs, lam):
                 mod.raise_[k][idx] = [(t, c) for t, c in sorted(combo.items()) if c]
         prev_ids = new_ids
     return mod
+
+
+def freudenthal_multiplicities(rs, lam) -> dict:
+    """Weight multiplicities by downward recursion over weight strings, in
+    integers.  A weight w pairs with a root-lattice vector b as
+    sum d_i w_i b_i, d the symmetrizer; for mu = lam - beta,
+    |lam + rho|^2 - |mu + rho|^2 is the pairing of 2(lam + rho) - A.beta
+    = lam + mu + 2 rho with beta."""
+    lam = tuple(int(c) for c in lam)
+    sym = rs.symmetrizer
+    # each positive root as (its weight, its root coordinates times d, its height)
+    pos = [(rs.root_to_weight(b), tuple(d * x for d, x in zip(sym, b)), sum(b))
+           for b in positive_roots(rs)]
+    mult = {lam: 1}
+    depth = {lam: tuple(0 for _ in lam)}   # weight mu -> its depth beta = lam - mu
+    frontier = [lam]
+    while frontier:
+        candidates = {}
+        for mu in frontier:
+            for a in rs.simple_roots:
+                nu = tuple(m - x for m, x in zip(mu, rs.root_to_weight(a)))
+                if nu not in mult:
+                    candidates[nu] = tuple(b + x for b, x in zip(depth[mu], a))
+        frontier = []
+        for mu, beta in candidates.items():
+            den = sum(d * (c + m + 2) * b for d, c, m, b in zip(sym, lam, mu, beta))
+            if den <= 0:
+                continue
+            height = sum(beta)
+            total = 0
+            for beta_w, beta_d, beta_height in pos:
+                for k in range(1, height // beta_height + 1):
+                    up = tuple(m + k * b for m, b in zip(mu, beta_w))
+                    m_up = mult.get(up, 0)
+                    if m_up:
+                        total += m_up * sum(u * b for u, b in zip(up, beta_d))
+            m = _integral(2 * total, den)
+            if m < 0:
+                raise ArithmeticError(f"negative multiplicity {m} at weight {mu}")
+            if m > 0:
+                mult[mu] = m
+                depth[mu] = beta
+                frontier.append(mu)
+    return mult

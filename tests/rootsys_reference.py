@@ -6,6 +6,9 @@ all positions assigned before it, in order.  The package's matcher tries
 only the orders along a path between two leaves of the subdiagram, with the
 node off the path, if any, last or second; the labelings it finds must be
 exactly these.
+
+`is_connected` decides whether a set of simple roots spans a connected
+subdiagram, by a search over the nonzero Cartan entries.
 """
 
 
@@ -39,3 +42,16 @@ def reference_match_labelings(rs, indices, template):
 
     extend(0)
     return sorted(found)
+
+
+def is_connected(rs, subset):
+    """Whether the subdiagram induced on a nonempty set of indices is
+    connected."""
+    todo = set(subset)
+    stack = [todo.pop()]
+    while stack:
+        i = stack.pop()
+        linked = {j for j in todo if rs.cartan[i][j]}
+        todo -= linked
+        stack.extend(linked)
+    return not todo

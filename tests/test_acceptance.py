@@ -10,16 +10,15 @@ from fractions import Fraction
 
 import pytest
 
+from adapted_reference import check_span_closure
 from catalog_bruteforce import bruteforce_catalog
-from irreps_reference import reference_irrep
+from irreps_reference import freudenthal_multiplicities, reference_irrep
 from sphmoduli import (
     build_context,
     build_model,
     build_root_system,
-    check_span_closure,
     compatible_with_sp,
     enumerate_n_adapted_subsets,
-    freudenthal_multiplicities,
     invariant_quotient_weights,
     is_n_adapted_singleton,
     is_n_adapted_subset,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapted_reference import (
+    check_span_closure,
     independent_subsets,
     reference_n_adapted_subset,
     reference_n_adapted_subsets,
@@ -16,10 +17,8 @@ from conftest import catalog_by_name
 from sphmoduli import (
     adapted,
     linalg,
-    LatticeMembershipError,
     build_context,
     build_root_system,
-    check_span_closure,
     check_system_axioms,
     enumerate_n_adapted_subsets,
     is_adapted_singleton,
@@ -254,8 +253,8 @@ def shared_color_ctx():
 
 def test_shared_color_functionals(shared_color_ctx):
     ctx = shared_color_ctx
-    a1 = set(ctx.color_functionals(0))
-    a3 = set(ctx.color_functionals(2))
+    a1 = set(ctx.colors[0])
+    a3 = set(ctx.colors[2])
     assert a1 & a3 == {(1, 0, 0)}
 
 
@@ -269,7 +268,7 @@ def test_shared_color_pair_is_adapted(shared_color_ctx):
     # share the color (1, 0, 0); with one color per token both copies of
     # (1, 0, 0) pair to 1 with a1, which then has three colors and fails A2
     coeffs = [ctx.in_lattice_root(r.coords) for r in sigma]
-    tokens = [(k, f) for k, i in enumerate((0, 2)) for f in ctx.color_functionals(i)]
+    tokens = [(k, f) for k, i in enumerate((0, 2)) for f in ctx.colors[i]]
 
     def pairing(f):
         return tuple(sum(a * c for a, c in zip(f, cs)) for cs in coeffs)
@@ -290,7 +289,7 @@ def test_cone_conditions_skip_simple_member_coroots():
     ctx = build_context(build_root_system("A3"), [(0, 0, 1), (0, 1, 1), (1, 0, 0)])
     cat = catalog_by_name(ctx.rs)
     assert ctx.in_lattice_root(cat["a1"].coords) == (1, -1, 2)
-    assert ctx.color_functionals(0) == ((-1, 0, 1), (1, 0, 0))
+    assert ctx.colors[0] == ((-1, 0, 1), (1, 0, 0))
     assert ctx.coroots[0] == (0, 0, 1)
     v = is_adapted_subset(ctx, [cat["a1"]]).verdicts
     assert not v["rays"] and not v["dual_cone"]
@@ -331,8 +330,8 @@ def test_consistency_exhaustive_grid(group, max_coord, max_r):
 
 
 def _reference_colors(ctx, i):
-    """color_functionals(i) from its definition, without the context's
-    tables: e_k and coroot - e_k for each k where a_i has coefficient 1."""
+    """colors[i] from its definition, without the context's tables: e_k
+    and coroot - e_k for each k where a_i has coefficient 1."""
     rs = ctx.rs
     coeffs = ctx.in_lattice(tuple(rs.cartan[j][i] for j in range(rs.rank)))
     if coeffs is None:
@@ -363,11 +362,10 @@ def _check_tables(ctx):
         assert ctx.cones[coroot] == (_rays(coroot), True)
         functionals.add(coroot)
         if colors[i] is None:
-            with pytest.raises(LatticeMembershipError):
-                ctx.color_functionals(i)
+            assert ctx.colors[i] is None
             continue
-        assert list(ctx.color_functionals(i)) == colors[i]
-        assert all(type(v) is int for f in ctx.color_functionals(i) for v in f)
+        assert list(ctx.colors[i]) == colors[i]
+        assert all(type(v) is int for f in ctx.colors[i] for v in f)
         for f in colors[i]:
             assert ctx.cones[f] == (_rays(f), min(f) >= 0)
             functionals.add(f)

@@ -23,3 +23,27 @@ def test_rank_two_slice_of_the_agreement_sweep():
     assert disagreements == []
     assert count == 378
     assert elapsed < 10.0, f"rank <= 2 agreement sweep took {elapsed:.1f} s"
+
+
+def test_sweep_counts_an_oracle_multiplicity_above_one(monkeypatch):
+    # the oracle's weights equal the tangent weights, but one has
+    # multiplicity 2: that is a disagreement, as it is for `analyze --oracle`
+    import sphmoduli
+    from sphmoduli.oracle import OracleReport
+
+    real = sphmoduli.oracle_report
+
+    def doubled(ctx, dim_cap):
+        weights = dict(real(ctx, dim_cap=dim_cap).weights)
+        if weights:
+            weights[min(weights)] = 2
+        return OracleReport(weights)
+
+    monkeypatch.setattr(sphmoduli, "oracle_report", doubled)
+    count, _, disagreements = _load_sweep().sweep(max_rank=1)
+    # of the six A1 bases, F = (2) and F = (4) have a tangent weight, 2a
+    assert count == 6
+    assert [basis for _, basis, _, _ in disagreements] == [((2,),), ((4,),)]
+    for _, _, tangent, oracle in disagreements:
+        assert [weight for weight, _ in oracle] == tangent
+        assert [m for _, m in oracle] == [2] + [1] * (len(tangent) - 1)

@@ -11,7 +11,6 @@ from sphmoduli import (
     build_irrep,
     build_model,
     build_root_system,
-    freudenthal_multiplicities,
     invariant_quotient_weights,
     linalg,
     positive_roots,
@@ -21,7 +20,7 @@ from sphmoduli.irreps import _integral
 from sphmoduli.rootsys import neg
 
 from chevalley_reference import build_reference, coroot_weight_pairing
-from irreps_reference import reference_irrep
+from irreps_reference import freudenthal_multiplicities, reference_irrep
 
 
 def test_a1_sym_square():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from chevalley_reference import coroot_weight_pairing
 from sphmoduli import (
     DependentBasis,
-    LatticeMembershipError,
     NonDominantWeight,
     build_context,
     build_root_system,
@@ -28,24 +27,21 @@ def test_crossed_lines_coroot_functionals(crossed_lines):
 
 
 def test_crossed_lines_color_functionals(crossed_lines):
-    assert crossed_lines.color_functionals(0) == ((1, 0), (1, 4))
-    assert crossed_lines.color_functionals(1) == ((0, 1),)
+    assert crossed_lines.colors[0] == ((1, 0), (1, 4))
+    assert crossed_lines.colors[1] == ((0, 1),)
 
 
 def test_sl2_color_functionals(sl2_even):
     # a = F0, and coroot - dual = dual, so the set collapses to one element
-    assert sl2_even.color_functionals(0) == ((1,),)
+    assert sl2_even.colors[0] == ((1,),)
 
 
 def test_color_functionals_requires_lattice_membership():
     # neither simple root lies in the lattice: the context still builds, with
-    # no color functionals, and asking for the colors raises
+    # no color functionals, and each simple root's colors read None
     ctx = build_context(build_root_system("A2"), [(1, 0)])
     assert ctx.colors == (None, None)
     assert set(ctx.cones) == set(ctx.coroots)
-    for i in range(2):
-        with pytest.raises(LatticeMembershipError):
-            ctx.color_functionals(i)
 
 
 def test_non_dominant_weight_reports_index():
@@ -121,7 +117,7 @@ def test_color_functional_values_are_one_on_the_root():
             coeffs = ctx.in_lattice_root(tuple(1 if j == i else 0 for j in range(ctx.n)))
             if coeffs is None:
                 continue
-            for f in ctx.color_functionals(i):
+            for f in ctx.colors[i]:
                 assert sum(a * c for a, c in zip(f, coeffs)) == 1
 
 
@@ -129,7 +125,7 @@ def test_color_functionals_can_exceed_two():
     # a2 = F0 + F1 - F2 here, with the coroot equal to twice the first dual
     # functional; the defining conditions then admit three distinct members
     ctx = build_context(build_root_system("A3"), [(0, 2, 0), (1, 0, 0), (2, 0, 1)])
-    values = ctx.color_functionals(1)
+    values = ctx.colors[1]
     assert len(values) == 3
     assert (2, -1, 0) in values
 

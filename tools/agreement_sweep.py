@@ -5,9 +5,10 @@
 imports `sphmoduli` from SOURCE_ROOT/src and, for every independent basis
 (of one or more weights) over the coordinates of `GRIDS`, compares the
 tangent weights of the combinatorial route (`tangent_space`) with those of
-the representation route (`oracle_report`).  A basis with a module above
-`DIM_CAP` is skipped; `oracle_report` refuses it by its Weyl dimension,
-before it builds anything.  Two lines, in the form of
+the representation route (`oracle_report`), every oracle weight of
+multiplicity 1, as `analyze --oracle` requires.  A basis with a module
+above `DIM_CAP` is skipped; `oracle_report` refuses it by its Weyl
+dimension, before it builds anything.  Two lines, in the form of
 `tools/report_digest.py`:
 
     contexts N sha256 H
@@ -16,8 +17,9 @@ before it builds anything.  Two lines, in the form of
 N counts the compared contexts, and H is a sha256 over (group, basis,
 tangent weights) of each of them, in grid order.  D counts the contexts
 where the two routes differ, and H' is a sha256 over (group, basis,
-tangent weights, oracle weights) of each of those, which are also written
-to standard error.  The exit status is 1 when D > 0.  Stdlib only.
+tangent weights, oracle weights with their multiplicities) of each of
+those, which are also written to standard error.  The exit status is 1
+when D > 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -54,15 +56,15 @@ def sweep(max_rank: int = 4) -> tuple:
         for basis in (b for r in range(1, rs.rank + 1) for b in combinations(vectors, r)):
             try:
                 ctx = sm.build_context(rs, list(basis))
-                oracle = sorted(sm.oracle_report(ctx, dim_cap=DIM_CAP).weights)
+                oracle = sm.oracle_report(ctx, dim_cap=DIM_CAP).weights
             except (sm.DependentBasis, sm.DimensionBudgetExceeded):
                 continue
             tangent = sorted(sm.tangent_space(ctx).weight_coords())
             digest.update(repr((group, basis, tangent)).encode())
             digest.update(b"\0")
             count += 1
-            if oracle != tangent:
-                disagreements.append((group, basis, tangent, oracle))
+            if oracle != dict.fromkeys(tangent, 1):
+                disagreements.append((group, basis, tangent, sorted(oracle.items())))
     return count, digest.hexdigest(), disagreements
 
 
